@@ -110,7 +110,7 @@ func (c *Cluster) AddSwitchCfg(cfg SwitchConfig) *Switch {
 
 // Attach connects a machine to the switch.
 func (s *Switch) Attach(m *Machine) {
-	port := s.sw.AttachPortOn(m.nic.Engine(), m.id.MAC, m.nic)
+	port := s.sw.AttachPort(m.id.MAC, m.nic)
 	m.nic.SetTransmit(port.Send)
 }
 

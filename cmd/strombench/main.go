@@ -4,7 +4,7 @@
 // Usage:
 //
 //	strombench -list
-//	strombench [-quick|-full] [-chaos] [-incast] [-kv] [-kvlarge] [-seed N] [-j N] [-shards N]
+//	strombench [-quick|-full] [-chaos] [-incast] [-kv] [-kvlarge] [-seed N] [-j N]
 //	           [-csv DIR] [-metrics FILE] [-trace FILE] [-jsonl FILE]
 //	           [-bench FILE] [-cpuprofile FILE] [-memprofile FILE] [exp ...]
 //
@@ -55,14 +55,8 @@
 // health scrapes of both NIC ports and both link directions, registry
 // snapshots with deltas, and the sim-time alert engine's fire/resolve
 // events and final summaries — one envelope per line, byte-identical
-// at every -j and -shards value. Pipe the file through stromtail for a
+// at every -j value. Pipe the file through stromtail for a
 // rollup and the alert timeline.
-//
-// -shards N runs each testbed sharded: the two machines on separate
-// event-engine shards executed by up to N worker goroutines under
-// conservative lookahead. Output is byte-identical for every N >= 1 (the
-// worker count never affects simulation results); 0 keeps the historical
-// single-engine testbed.
 //
 // -bench FILE writes a bench snapshot — per-experiment wall clock plus
 // every figure value — for the committed BENCH_*.json trajectory; use
@@ -94,7 +88,6 @@ func main() {
 	kvLargeScenario := flag.Bool("kvlarge", false, "run the chaos-kv-large sweep; -metrics/-trace/-jsonl export the large-value torn-read scenario")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	jobs := flag.Int("j", experiments.DefaultParallelism(), "experiment generators to run in parallel")
-	shards := flag.Int("shards", 0, "sharded testbed worker count (0 = single engine; output is byte-identical for every value >= 1)")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	csvDir := flag.String("csv", "", "also write each figure as CSV into this directory")
 	metricsOut := flag.String("metrics", "", "write instrumented-scenario metrics JSON to this file")
@@ -162,7 +155,6 @@ func main() {
 		opts.ShuffleScale = 1
 	}
 	opts.Seed = *seed
-	opts.Shards = *shards
 
 	names := flag.Args()
 	preamble := false
@@ -225,7 +217,6 @@ func writeBenchSnapshot(path, label, note string, opts experiments.Options, resu
 	snap.Command = strings.Join(os.Args[1:], " ")
 	snap.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	snap.NumCPU = runtime.NumCPU()
-	snap.Shards = opts.Shards
 	snap.Seed = opts.Seed
 	var totalMS float64
 	for _, r := range results {

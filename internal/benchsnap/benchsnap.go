@@ -28,13 +28,13 @@ type Snapshot struct {
 	// Command reproduces the invocation that wrote the snapshot.
 	Command string `json:"command,omitempty"`
 	// GOMAXPROCS and NumCPU record the host parallelism the wall-clock
-	// series were measured under (a single-core container cannot show
-	// multi-core speedup, however the simulation is sharded).
+	// series were measured under.
 	GOMAXPROCS int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
-	// Shards and Seed are the simulation parameters.
-	Shards int   `json:"shards"`
-	Seed   int64 `json:"seed"`
+	// Seed is the simulation seed. Snapshots written before the
+	// simulator had one engine mode also carry a "shards" field, which
+	// Read ignores.
+	Seed int64 `json:"seed"`
 	// Note carries free-form context for readers of the committed file.
 	Note string `json:"note,omitempty"`
 	// Series maps tracked series keys to values. Key classes:

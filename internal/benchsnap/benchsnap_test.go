@@ -1,13 +1,13 @@
 package benchsnap
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 )
 
 func TestRoundTrip(t *testing.T) {
 	s := New("test")
-	s.Shards = 4
 	s.Seed = 1
 	s.Put("wall_ms/fig5a", 120.5)
 	s.Put("value/fig5b/StRoM: Write/64B", 9.43)
@@ -19,11 +19,50 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if got.Label != "test" || got.Shards != 4 || len(got.Series) != 2 {
+	if got.Label != "test" || got.Seed != 1 || len(got.Series) != 2 {
 		t.Fatalf("round trip mangled snapshot: %+v", got)
 	}
 	if got.Series["value/fig5b/StRoM: Write/64B"] != 9.43 {
 		t.Fatalf("series value lost")
+	}
+}
+
+// Snapshots recorded while the simulator still had a sharded mode carry
+// a "shards" field; they must still load and diff against a current one.
+func TestReadOlderSnapshotWithShards(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{
+  "schema": 1,
+  "label": "BENCH_quick",
+  "gomaxprocs": 1,
+  "num_cpu": 1,
+  "shards": 4,
+  "seed": 1,
+  "series": {
+    "value/fig5a/StRoM: Write/64B": 2.5,
+    "wall_ms/_total": 1000
+  }
+}
+`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(path)
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if got.Seed != 1 || got.Series["value/fig5a/StRoM: Write/64B"] != 2.5 {
+		t.Fatalf("older snapshot mangled: %+v", got)
+	}
+	cur := New("head")
+	cur.Put("value/fig5a/StRoM: Write/64B", 3.0) // +20%: drift
+	cur.Put(WallTotalKey, 1000)
+	regs, missing := Diff(got, cur, 0.10, 0.50)
+	if len(missing) != 0 {
+		t.Fatalf("missing = %v, want none", missing)
+	}
+	if len(regs) != 1 || regs[0].Key != "value/fig5a/StRoM: Write/64B" {
+		t.Fatalf("regressions = %v, want the drifted value only", regs)
 	}
 }
 

@@ -95,14 +95,9 @@ func (c *windowCursor) active(now sim.Time) (Window, bool) {
 }
 
 // site is one injection point (a link direction or a DMA engine) with
-// its own engine reference, record log, stats, and digest. Each site is
-// owned by exactly one engine — on a sharded testbed the A→B direction
-// and machine A's DMA judge on shard A's engine and RNG while B's sites
-// judge on shard B's — so a site never shares mutable state across
-// shard goroutines. The injector's external views (Stats, Records,
-// ScheduleDigest) combine the sites in the fixed order a-to-b, b-to-a,
-// dma-a, dma-b, which is identical however the sites are spread over
-// shards.
+// its own engine reference, record log, stats, and digest. The
+// injector's external views (Stats, Records, ScheduleDigest) combine
+// the sites in the fixed order a-to-b, b-to-a, dma-a, dma-b.
 type site struct {
 	eng    *sim.Engine
 	where  string
@@ -152,25 +147,18 @@ type Injector struct {
 }
 
 // New builds an injector for the plan on the engine's clock and RNG.
-func New(eng *sim.Engine, plan Plan) *Injector {
-	return NewOn(eng, eng, plan)
-}
-
-// NewOn builds an injector whose A-side sites (a-to-b, dma-a) live on
-// engA and B-side sites (b-to-a, dma-b) on engB — the sharded testbed,
-// where each machine is its own shard. With engA == engB it is exactly
-// New. Each direction walks its own cursor over the shared flap window
+// Each link direction walks its own cursor over the shared flap window
 // list (the cursors are per-site state; the windows are read-only).
-func NewOn(engA, engB *sim.Engine, plan Plan) *Injector {
+func New(eng *sim.Engine, plan Plan) *Injector {
 	plan = plan.normalized()
 	return &Injector{
 		plan:   plan,
-		ab:     dirState{site: newSite(engA, "a-to-b", plan.LogLimit), f: plan.AtoB, flaps: windowCursor{ws: plan.Flaps}},
-		ba:     dirState{site: newSite(engB, "b-to-a", plan.LogLimit), f: plan.BtoA, flaps: windowCursor{ws: plan.Flaps}},
+		ab:     dirState{site: newSite(eng, "a-to-b", plan.LogLimit), f: plan.AtoB, flaps: windowCursor{ws: plan.Flaps}},
+		ba:     dirState{site: newSite(eng, "b-to-a", plan.LogLimit), f: plan.BtoA, flaps: windowCursor{ws: plan.Flaps}},
 		stallA: windowCursor{ws: plan.StallsA},
 		stallB: windowCursor{ws: plan.StallsB},
-		dmaA:   newSite(engA, "dma-a", plan.LogLimit),
-		dmaB:   newSite(engB, "dma-b", plan.LogLimit),
+		dmaA:   newSite(eng, "dma-a", plan.LogLimit),
+		dmaB:   newSite(eng, "dma-b", plan.LogLimit),
 	}
 }
 
@@ -290,8 +278,7 @@ func (j *Injector) Apply(link *fabric.Link, dmaA, dmaB *pcie.Engine) {
 }
 
 // sites returns the injection sites in their canonical combination
-// order. Every cross-site view folds in this order so the result is
-// independent of how the sites were spread over shard goroutines.
+// order. Every cross-site view folds in this order.
 func (j *Injector) sites() [4]*site { return [4]*site{j.ab.site, j.ba.site, j.dmaA, j.dmaB} }
 
 // Stats returns the fault counters summed over all sites.
@@ -310,8 +297,7 @@ func (j *Injector) Stats() Stats {
 
 // Records returns the retained fault log (each site bounded by
 // Plan.LogLimit), merged across sites by injection time with ties
-// broken by canonical site order — a total order that does not depend
-// on shard interleaving.
+// broken by canonical site order.
 func (j *Injector) Records() []Record {
 	var out []Record
 	for _, s := range j.sites() {
@@ -324,7 +310,7 @@ func (j *Injector) Records() []Record {
 // ScheduleDigest returns a CRC64 over every injected fault (time, site,
 // kind, delay), folding the per-site digests in canonical site order.
 // Two runs of the same plan at the same seed must produce equal digests
-// — sharded or not — the replayability contract.
+// — the replayability contract.
 func (j *Injector) ScheduleDigest() uint64 {
 	d := crc.NewDigest64()
 	var buf [8]byte

@@ -203,9 +203,8 @@ func (n *NIC) instrumentOp(op string, qpn uint32, done func(error)) func(error) 
 // internal/telemetry/export (fcs_err for undecodable frames,
 // in_discards for frames arriving while crashed, stomped_crc for
 // duplicate READs whose payload identity could not be re-proven, ...).
-// It reads only this NIC's own state, so on a sharded testbed it is a
-// valid export.ScrapeFunc for a source registered on the NIC's engine.
-// Works with or without AttachTelemetry.
+// It is a valid export.ScrapeFunc and works with or without
+// AttachTelemetry.
 func (n *NIC) Health() (map[string]uint64, map[string]float64) {
 	st := n.stack.Stats()
 	var mrTotal uint64

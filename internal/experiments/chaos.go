@@ -58,7 +58,7 @@ type chaosMeasure struct {
 // first half of B's buffer and READs of a static region in the second
 // half — under the plan, with invariant checkers on both stacks.
 func runChaosPoint(o Options, plan chaos.Plan) (chaosMeasure, error) {
-	pair, err := newPair(o.unsharded(), profile10G(), 8<<20)
+	pair, err := newPair(o, profile10G(), 8<<20)
 	if err != nil {
 		return chaosMeasure{}, err
 	}
@@ -247,7 +247,7 @@ func WriteChaosTelemetry(o Options, metricsW, traceW io.Writer) error {
 // those rules; anything else firing is a scenario regression.
 func WriteChaosTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error {
 	o = o.normalized()
-	pair, err := newPair(o.unsharded(), profile10G(), 8<<20)
+	pair, err := newPair(o, profile10G(), 8<<20)
 	if err != nil {
 		return err
 	}

@@ -144,9 +144,9 @@ func Fig10FailureRate(o Options) (*stats.Figure, error) {
 }
 
 func failureRateLatencies(o Options, size int, rate float64) (swAvg, stromAvg float64, err error) {
-	// Pinned unsharded: the client process plays the "concurrent writer"
-	// by rewriting the object in B's memory between its own A-side reads.
-	pair, objVA, good, err := consistencyBed(o.unsharded(), size)
+	// The client process plays the "concurrent writer" by rewriting the
+	// object in B's memory between its own A-side reads.
+	pair, objVA, good, err := consistencyBed(o, size)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -25,15 +25,6 @@ type Options struct {
 	ShuffleScale int
 	// StreamBytes is the per-point volume for throughput sweeps.
 	StreamBytes int
-	// Shards selects the sharded testbed: 0 runs everything on one
-	// engine (the historical structure); >= 1 places each machine on its
-	// own shard of a sim.ShardGroup executed by up to Shards worker
-	// goroutines (clamped to the shard count). Results are byte-identical
-	// for every value >= 1 — worker count never affects simulation output
-	// — while 0 and >= 1 are distinct (different RNG partitioning).
-	// Generators whose control flow mutates both machines from one
-	// process (chaos, recovery, protection) pin themselves to 0.
-	Shards int
 }
 
 // Default returns the options used by the committed EXPERIMENTS.md run.
@@ -75,20 +66,10 @@ func profile100G() profile {
 	return profile{name: "100G", cfg: core.Profile100G(), link: fabric.DirectCable100G()}
 }
 
-// newPair builds a testbed for the profile, sharded when o.Shards asks
-// for it.
+// newPair builds a testbed for the profile.
 func newPair(o Options, p profile, bufBytes int) (*testrig.Pair, error) {
-	if o.Shards > 0 {
-		return testrig.NewSharded(o.Seed, p.cfg, p.link, bufBytes, o.Shards)
-	}
 	return testrig.New(o.Seed, p.cfg, p.link, bufBytes)
 }
-
-// unsharded pins a generator to the single-engine testbed: scenarios
-// that mutate B-side state mid-run from the A-side control process
-// (chaos fault mid-stream flips, crash/restart recovery, rogue
-// requesters) are only legal when both machines share an engine.
-func (o Options) unsharded() Options { o.Shards = 0; return o }
 
 // sizeLabel formats a byte count like the paper's axes.
 func sizeLabel(n int) string {

@@ -38,10 +38,9 @@ func Fig13aHLLCPU(o Options) (*stats.Figure, error) {
 }
 
 func hllCPUThroughput(o Options, threads int) (float64, error) {
-	// Pinned unsharded: the write-completion callback (machine A) feeds
-	// the software HLL on machine B's CPU directly — a simulation
-	// shortcut that only works when both machines share an engine.
-	pair, err := newPair(o.unsharded(), profile100G(), 16<<20)
+	// The write-completion callback (machine A) feeds the software HLL on
+	// machine B's CPU directly — a simulation shortcut.
+	pair, err := newPair(o, profile100G(), 16<<20)
 	if err != nil {
 		return 0, err
 	}
@@ -216,10 +215,10 @@ func HLLAccuracyCheck(o Options, distinct int) (float64, float64, error) {
 			runErr = err
 		}
 	})
-	// The result is polled on machine B's host CPU (its own shard when
-	// sharded): the kernel publishes the estimate into B's memory.
+	// The result is polled on machine B's host CPU: the kernel publishes
+	// the estimate into B's memory.
 	var pollErr error
-	pair.EngB.Go("poller", func(p *sim.Process) {
+	pair.Eng.Go("poller", func(p *sim.Process) {
 		raw, err := pair.B.Host().Poll(p, pair.B.Memory(), resultVA, hllkernel.ResultSize, func(b []byte) bool {
 			return binary.LittleEndian.Uint64(b[16:24]) != 0
 		}, 0)

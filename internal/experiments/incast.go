@@ -68,20 +68,12 @@ func (m IncastMeasure) VictimGbps() float64 {
 }
 
 // RunIncast drives one K→1 incast with the victim flow riding along,
-// on the switched testbed (sharded per o.Shards), and returns the
+// on the switched testbed, and returns the
 // measured outcome. Flow sizes scale with o.Iterations.
 func RunIncast(o Options, k int, dcqcn bool) (IncastMeasure, error) {
 	o = o.normalized()
 	n := k + 2 // senders 0..k-1, receiver k, idle victim target k+1
-	var (
-		net *testrig.Net
-		err error
-	)
-	if o.Shards > 0 {
-		net, err = testrig.NewNetSharded(o.Seed, n, core.Profile10G(), IncastSwitchConfig(), 1<<20, o.Shards)
-	} else {
-		net, err = testrig.NewNet(o.Seed, n, core.Profile10G(), IncastSwitchConfig(), 1<<20)
-	}
+	net, err := testrig.NewNet(o.Seed, n, core.Profile10G(), IncastSwitchConfig(), 1<<20)
 	if err != nil {
 		return IncastMeasure{}, err
 	}
@@ -95,9 +87,7 @@ func RunIncast(o Options, k int, dcqcn bool) (IncastMeasure, error) {
 	victimWrites := 4 * o.Iterations
 	m := IncastMeasure{VictimBytes: victimWrites * incastXfer}
 
-	// Per-machine error and progress slots: each is written only from
-	// that machine's engine (its own shard when sharded) and read after
-	// the run's join.
+	// Per-machine error and progress slots, read after the run.
 	errs := make([]error, n)
 	left := make([]int, k)
 	// Every flow posts its whole write train upfront, so each sender
@@ -226,9 +216,9 @@ func ChaosIncastSweep(o Options) (*stats.Figure, error) {
 // pause/resume cycles and ECN marks accumulate (the pfc-pause and
 // ecn-marked alert rules must fire); halfway through the flows every
 // stack enables DCQCN mid-run, so the CNP/pacing counters export real
-// values and the pauses die out. Like the other scenarios it pins
-// itself unsharded and is byte-identical at every -j and -shards value;
-// the invariant checkers on every stack must stay silent.
+// values and the pauses die out. Like the other scenarios it is
+// byte-identical at every -j; the invariant checkers on every stack
+// must stay silent.
 func WriteIncastTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error {
 	o = o.normalized()
 	const k = 4

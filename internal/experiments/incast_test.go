@@ -7,8 +7,8 @@ import (
 
 // incastOptions sizes the incast runs for the test battery: long enough
 // flows that PFC engages and DCQCN's rate cuts have room to matter.
-func incastOptions(shards int) Options {
-	return Options{Seed: 1, Iterations: 4, ShuffleScale: 128, StreamBytes: 2 << 20, Shards: shards}
+func incastOptions() Options {
+	return Options{Seed: 1, Iterations: 4, ShuffleScale: 128, StreamBytes: 2 << 20}
 }
 
 // TestIncastVictimFlowDCQCNGain is the headline congestion-spreading
@@ -19,11 +19,11 @@ func incastOptions(shards int) Options {
 // and K=8 (at K=2 the storm is too mild for a full 2×).
 func TestIncastVictimFlowDCQCNGain(t *testing.T) {
 	for _, k := range []int{4, 8} {
-		off, err := RunIncast(incastOptions(0), k, false)
+		off, err := RunIncast(incastOptions(), k, false)
 		if err != nil {
 			t.Fatalf("k=%d dcqcn=off: %v", k, err)
 		}
-		on, err := RunIncast(incastOptions(0), k, true)
+		on, err := RunIncast(incastOptions(), k, true)
 		if err != nil {
 			t.Fatalf("k=%d dcqcn=on: %v", k, err)
 		}
@@ -54,39 +54,13 @@ func TestIncastVictimFlowDCQCNGain(t *testing.T) {
 	}
 }
 
-// TestIncastDeterministicAcrossShards checks every measured quantity of
-// an incast run — completion times, pause/mark/discard/CNP counts — is
-// identical whether the testbed runs on one engine, on N+1 shards with
-// one worker, or on N+1 shards with four workers.
-func TestIncastDeterministicAcrossShards(t *testing.T) {
-	for _, k := range incastKs {
-		for _, dcqcn := range []bool{false, true} {
-			base, err := RunIncast(incastOptions(0), k, dcqcn)
-			if err != nil {
-				t.Fatalf("k=%d dcqcn=%v unsharded: %v", k, dcqcn, err)
-			}
-			for _, workers := range []int{1, 4} {
-				m, err := RunIncast(incastOptions(workers), k, dcqcn)
-				if err != nil {
-					t.Fatalf("k=%d dcqcn=%v shards=%d: %v", k, dcqcn, workers, err)
-				}
-				if m != base {
-					t.Errorf("k=%d dcqcn=%v: measure differs at shards=%d:\n unsharded: %+v\n   sharded: %+v",
-						k, dcqcn, workers, base, m)
-				}
-			}
-		}
-	}
-}
-
 // TestIncastSweepIdenticalAcrossJobs renders the chaos-incast generator
 // through the same worker pool strombench uses and checks -j1 and -j4
-// produce byte-identical output (the sweep is also in Chaos(), so the
-// sharded differential suite covers it; this pins the -j axis).
+// produce byte-identical output.
 func TestIncastSweepIdenticalAcrossJobs(t *testing.T) {
 	gens := []Generator{{Name: "chaos-incast", Run: ChaosIncastSweep}}
 	render := func(jobs int) string {
-		rs := RunGenerators(gens, incastOptions(0), jobs)
+		rs := RunGenerators(gens, incastOptions(), jobs)
 		if rs[0].Err != nil {
 			t.Fatalf("-j%d: %v", jobs, rs[0].Err)
 		}
@@ -98,29 +72,26 @@ func TestIncastSweepIdenticalAcrossJobs(t *testing.T) {
 }
 
 // TestIncastTelemetryExportsDeterministic runs the incast telemetry
-// scenario twice — once with opts pinned unsharded, once with a sharded
-// opts value the scenario must ignore — and checks all three export
-// streams are byte-identical.
+// scenario twice at the same seed and checks all three export streams
+// are byte-identical.
 func TestIncastTelemetryExportsDeterministic(t *testing.T) {
-	export := func(shards int) (string, string, string) {
+	export := func() (string, string, string) {
 		var m, tr, jl bytes.Buffer
-		o := Quick()
-		o.Shards = shards
-		if err := WriteIncastTelemetryExports(o, &m, &tr, &jl); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+		if err := WriteIncastTelemetryExports(Quick(), &m, &tr, &jl); err != nil {
+			t.Fatal(err)
 		}
 		return m.String(), tr.String(), jl.String()
 	}
-	m1, t1, j1 := export(0)
-	m2, t2, j2 := export(4)
+	m1, t1, j1 := export()
+	m2, t2, j2 := export()
 	if m1 != m2 {
-		t.Error("incast metrics JSON differs across opts.Shards")
+		t.Error("incast metrics JSON differs between same-seed runs")
 	}
 	if t1 != t2 {
-		t.Error("incast trace JSON differs across opts.Shards")
+		t.Error("incast trace JSON differs between same-seed runs")
 	}
 	if j1 != j2 {
-		t.Error("incast JSONL stream differs across opts.Shards")
+		t.Error("incast JSONL stream differs between same-seed runs")
 	}
 	if len(j1) == 0 {
 		t.Error("incast JSONL stream empty")

@@ -462,9 +462,8 @@ func WriteKVTelemetry(o Options, metricsW, traceW io.Writer) error {
 // kv-heartbeat alert must fire (the crash cycles guarantee frozen
 // heartbeats) and retry-storm fires on seeds where a loss burst lands in
 // a retransmission train; a monitoring consumer (make soak, stromtail)
-// requires the former. Like every export scenario it pins itself to the
-// single-engine testbed, so the output is byte-identical at any -j.
+// requires the former. The output is byte-identical at any -j.
 func WriteKVTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error {
-	_, err := runKV(o.unsharded(), kvFaults{loss: true, crashes: true, storm: true}, metricsW, traceW, jsonlW)
+	_, err := runKV(o, kvFaults{loss: true, crashes: true, storm: true}, metricsW, traceW, jsonlW)
 	return err
 }

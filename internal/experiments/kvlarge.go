@@ -424,10 +424,9 @@ func ChaosKVLargeSweep(o Options) (*stats.Figure, error) {
 // scenario: the full regime (racing + loss + crashes) streamed through
 // the JSONL recorder. The torn-read rate rule must fire — the racing
 // phases guarantee detections — and a monitoring consumer (make soak,
-// stromtail) requires it alongside kv-heartbeat. Like every export
-// scenario it pins itself to the single-engine testbed, so the output
-// is byte-identical at any -j and any Shards setting.
+// stromtail) requires it alongside kv-heartbeat. The output is
+// byte-identical at any -j.
 func WriteKVLargeTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error {
-	_, err := runKVLarge(o.unsharded(), kvlFaults{racing: true, loss: true, crashes: true}, metricsW, traceW, jsonlW)
+	_, err := runKVLarge(o, kvlFaults{racing: true, loss: true, crashes: true}, metricsW, traceW, jsonlW)
 	return err
 }

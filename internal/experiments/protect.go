@@ -71,7 +71,7 @@ func protectPlan() chaos.Plan {
 // runProtectPoint drives the legitimate deadline-bounded workload and
 // the rogue requester side by side, with crash/restart cycles on B.
 func runProtectPoint(o Options, rogueOps int) (protectMeasure, error) {
-	pair, err := newPair(o.unsharded(), profile10G(), 8<<20)
+	pair, err := newPair(o, profile10G(), 8<<20)
 	if err != nil {
 		return protectMeasure{}, err
 	}

@@ -65,7 +65,7 @@ func recoveryPlan() chaos.Plan {
 // runRecoveryPoint drives the deadline-bounded workload with the given
 // number of crash/restart cycles on B.
 func runRecoveryPoint(o Options, cycles int) (recoveryMeasure, error) {
-	pair, err := newPair(o.unsharded(), profile10G(), 8<<20)
+	pair, err := newPair(o, profile10G(), 8<<20)
 	if err != nil {
 		return recoveryMeasure{}, err
 	}

@@ -175,9 +175,8 @@ func shuffleStrom(o Options, bytes int) (sim.Duration, error) {
 		}
 	})
 	// The shuffle is complete when the kernel posts the tuple count into
-	// B's memory; B's own host CPU polls for it (its own shard when
-	// sharded — the completion word must not be read across machines).
-	pair.EngB.Go("completion", func(p *sim.Process) {
+	// B's memory; B's own host CPU polls for it.
+	pair.Eng.Go("completion", func(p *sim.Process) {
 		raw, err := pair.B.Host().Poll(p, pair.B.Memory(), completion, 8, func(b []byte) bool {
 			return binary.LittleEndian.Uint64(b) != 0
 		}, 0)

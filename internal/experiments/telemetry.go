@@ -41,19 +41,13 @@ func WriteTelemetry(o Options, metricsW, traceW io.Writer) error {
 // export: when jsonlW is non-nil every health surface (both NIC ports,
 // both link directions) and the whole metrics registry are scraped
 // every 2 µs of simulated time, the default alert rules are evaluated
-// at each scrape, and the merged event stream is written to jsonlW —
-// one JSON object per line, byte-identical for any -j and Shards
-// setting (the scenario pins itself to the single-engine testbed when
-// streaming: mid-run registry collection is only sound there, and the
-// pin makes sharded and unsharded invocations emit the same stream).
+// at each scrape, and the event stream is written to jsonlW — one JSON
+// object per line, byte-identical for any -j.
 // The 4% loss phase deliberately trips the out-discards rate rule, so a
 // consumer of this scenario's stream must expect out-discards (and on
 // some seeds fcs-err) alerts; anything else is a scenario regression.
 func WriteTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error {
 	o = o.normalized()
-	if jsonlW != nil {
-		o = o.unsharded()
-	}
 	pair, err := newPair(o, profile10G(), 32<<20)
 	if err != nil {
 		return err
@@ -104,20 +98,12 @@ func WriteTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error 
 		}
 		return err != nil
 	}
-	// setLoss flips both directions' impairment. The A→B side belongs to
-	// this shard and flips immediately; the B→A side belongs to machine
-	// B's shard, so the flip crosses via the group's outbox and lands one
-	// lookahead later (immediately when unsharded). The sleep puts the
-	// client past both flip points before the next verb — at a simulated
-	// time that does not depend on the worker count.
+	// setLoss flips both directions' impairment: A→B at once, B→A from
+	// a zero-delay event that the client yields to before its next verb.
 	setLoss := func(p *sim.Process, imp fabric.Impairment) {
 		pair.Link.ImpairAtoB(imp)
-		var d sim.Duration
-		if pair.Group != nil {
-			d = pair.Group.Lookahead()
-		}
-		pair.Eng.CrossSchedule(pair.EngB, d, func() { pair.Link.ImpairBtoA(imp) })
-		p.Sleep(d)
+		pair.Eng.Schedule(0, func() { pair.Link.ImpairBtoA(imp) })
+		p.Sleep(0)
 	}
 	pair.Eng.Go("telemetry-client", func(p *sim.Process) {
 		// Phase 1: clean one-sided verbs.

@@ -117,15 +117,10 @@ func (st *Stats) countDrop(c DropCause) {
 	}
 }
 
-// direction is one side of a full-duplex link. eng is the sending
-// shard's engine (serialization, RNG draws, fault judgement happen
-// there); dstEng is the receiving shard's engine, where the delivery
-// fires. They are the same engine unless the link spans two shards of
-// a sim.ShardGroup (NewLinkOn), in which case the propagation delay is
-// the lookahead that makes conservative parallel execution sound.
+// direction is one side of a full-duplex link: serialization, RNG
+// draws, fault judgement and delivery all happen on eng.
 type direction struct {
 	eng     *sim.Engine
-	dstEng  *sim.Engine
 	wire    *sim.Serializer
 	gbps    float64
 	prop    sim.Duration
@@ -135,8 +130,8 @@ type direction struct {
 	dst     Endpoint
 	stats   Stats
 
-	// Same-engine deliveries push here and schedule drainFn (bound
-	// once), so the per-frame closure is never allocated; see sim.FIFO.
+	// Undelayed deliveries push here and schedule drainFn (bound once),
+	// so the per-frame closure is never allocated; see sim.FIFO.
 	pend    sim.FIFO[[]byte]
 	drainFn func()
 
@@ -147,9 +142,9 @@ type direction struct {
 }
 
 // newDirection builds one side of a link or switch port.
-func newDirection(eng, dstEng *sim.Engine, gbps float64, prop sim.Duration, dst Endpoint) *direction {
+func newDirection(eng *sim.Engine, gbps float64, prop sim.Duration, dst Endpoint) *direction {
 	d := &direction{
-		eng: eng, dstEng: dstEng, wire: sim.NewSerializer(eng),
+		eng: eng, wire: sim.NewSerializer(eng),
 		gbps: gbps, prop: prop, dst: dst,
 	}
 	d.drainFn = d.drain
@@ -217,16 +212,14 @@ func (d *direction) send(frame []byte) {
 		now := d.eng.Now()
 		d.tb.Complete(d.pid, d.tid, "wire", "frame", now, deliverAt.Sub(now), fmt.Sprintf("%d wire bytes", wireBytes))
 	}
-	if v.Delay == 0 && d.dstEng == d.eng {
-		// Hot path: in-order same-engine delivery through the drain
-		// queue — no per-frame closure.
+	if v.Delay == 0 {
+		// Hot path: in-order delivery through the drain queue — no
+		// per-frame closure.
 		d.pend.Push(buf)
 		d.eng.ScheduleAt(deliverAt, d.drainFn)
 	} else {
-		// Delayed frames break the FIFO delivery order, and cross-shard
-		// frames must fire on the destination's engine (CrossScheduleAt
-		// parks them in the shard outbox until the window barrier).
-		d.eng.CrossScheduleAt(d.dstEng, deliverAt, func() { d.dst.DeliverFrame(buf) })
+		// Delayed frames break the FIFO delivery order.
+		d.eng.ScheduleAt(deliverAt, func() { d.dst.DeliverFrame(buf) })
 	}
 	if v.Duplicate {
 		// The duplicate is an independent copy (cloned now: the sender
@@ -236,7 +229,7 @@ func (d *direction) send(frame []byte) {
 		if d.tb != nil {
 			d.tb.Instant(d.pid, d.tid, "wire", "duplicate", fmt.Sprintf("%d bytes", len(frame)))
 		}
-		d.eng.CrossScheduleAt(d.dstEng, deliverAt.Add(v.DupDelay), func() { d.dst.DeliverFrame(dup) })
+		d.eng.ScheduleAt(deliverAt.Add(v.DupDelay), func() { d.dst.DeliverFrame(dup) })
 	}
 }
 
@@ -265,21 +258,9 @@ func DirectCable100G() LinkConfig {
 
 // NewLink wires endpoints a and b together on one engine.
 func NewLink(eng *sim.Engine, cfg LinkConfig, a, b Endpoint) *Link {
-	return NewLinkOn(eng, eng, cfg, a, b)
-}
-
-// NewLinkOn wires endpoint a (living on engA) to endpoint b (living on
-// engB). When engA and engB are shards of one sim.ShardGroup this is
-// the cross-shard seam of the simulation: each direction serializes and
-// judges faults on its sending shard and delivers on the receiving
-// shard, and the propagation delay — the minimum time any frame spends
-// crossing — is the conservative lookahead bound that lets both shards
-// advance in parallel. With engA == engB it degenerates to the classic
-// single-engine link, byte-identical to the historical behaviour.
-func NewLinkOn(engA, engB *sim.Engine, cfg LinkConfig, a, b Endpoint) *Link {
 	return &Link{
-		a: newDirection(engA, engB, cfg.BandwidthGbps, cfg.Propagation, b),
-		b: newDirection(engB, engA, cfg.BandwidthGbps, cfg.Propagation, a),
+		a: newDirection(eng, cfg.BandwidthGbps, cfg.Propagation, b),
+		b: newDirection(eng, cfg.BandwidthGbps, cfg.Propagation, a),
 	}
 }
 
@@ -320,11 +301,8 @@ func (l *Link) AttachTelemetry(reg *telemetry.Registry, tb *telemetry.TraceBuffe
 		tb.NameThread(pid, traceTidAtoB, "a-to-b")
 		tb.NameThread(pid, traceTidBtoA, "b-to-a")
 	}
-	// Each direction traces into the segment of its sending engine, so a
-	// sharded link never writes one buffer from two goroutines. ForEngine
-	// is the identity on a single-engine link.
-	l.a.tb, l.a.pid, l.a.tid = tb.ForEngine(l.a.eng), pid, traceTidAtoB
-	l.b.tb, l.b.pid, l.b.tid = tb.ForEngine(l.b.eng), pid, traceTidBtoA
+	l.a.tb, l.a.pid, l.a.tid = tb, pid, traceTidAtoB
+	l.b.tb, l.b.pid, l.b.tid = tb, pid, traceTidBtoA
 }
 
 // Utilisations returns wire utilisation for both directions since time
@@ -354,13 +332,10 @@ func (l *Link) SetFaultsBtoA(f FaultInjector) { l.b.faults = f }
 
 // SetOfflineAtoB administratively takes the a→b direction down (or back
 // up): while offline every frame is discarded before the wire, with no
-// RNG draw, and counted as an offline out_discard. On a sharded link
-// call it from engine A's event context (the sending shard owns the
-// direction).
+// RNG draw, and counted as an offline out_discard.
 func (l *Link) SetOfflineAtoB(down bool) { l.a.offline = down }
 
-// SetOfflineBtoA administratively takes the b→a direction down. On a
-// sharded link call it from engine B's event context.
+// SetOfflineBtoA administratively takes the b→a direction down.
 func (l *Link) SetOfflineBtoA(down bool) { l.b.offline = down }
 
 // StatsAtoB returns counters for the a→b direction.
@@ -392,21 +367,12 @@ func (d *direction) health() (map[string]uint64, map[string]float64) {
 		}
 }
 
-// HealthAtoB returns the a→b direction's health report. On a sharded
-// link the a→b state is owned by engine A: scrape it from there (it is
-// a valid export.ScrapeFunc for a source registered on engine A).
+// HealthAtoB returns the a→b direction's health report (an
+// export.ScrapeFunc).
 func (l *Link) HealthAtoB() (map[string]uint64, map[string]float64) { return l.a.health() }
 
-// HealthBtoA returns the b→a direction's health report (engine B's
-// state on a sharded link).
+// HealthBtoA returns the b→a direction's health report.
 func (l *Link) HealthBtoA() (map[string]uint64, map[string]float64) { return l.b.health() }
-
-// UtilisationAtoB reports a→b wire utilisation since time zero.
-func (l *Link) UtilisationAtoB() float64 { return l.a.wire.Utilisation() }
-
-// UtilisationBtoA reports b→a wire utilisation since time zero. On a
-// sharded link this reads shard B's wire — only probe it from engine B.
-func (l *Link) UtilisationBtoA() float64 { return l.b.wire.Utilisation() }
 
 // The store-and-forward Switch (shared-buffer accounting, PFC, ECN)
 // lives in switch.go.

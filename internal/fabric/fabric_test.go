@@ -163,7 +163,7 @@ func TestLinkUtilisation(t *testing.T) {
 	l := NewLink(eng, DirectCable10G(), a, b)
 	eng.Schedule(0, func() { l.SendFromA(make([]byte, 1000)) })
 	eng.Run()
-	if u := l.UtilisationAtoB(); u <= 0 || u > 1 {
+	if u, _ := l.Utilisations(); u <= 0 || u > 1 {
 		t.Errorf("utilisation = %v", u)
 	}
 }
@@ -175,7 +175,7 @@ func TestSwitchRouting(t *testing.T) {
 	macB := packet.MAC{2, 0, 0, 0, 0, 2}
 	macC := packet.MAC{2, 0, 0, 0, 0, 3}
 	a, b, c := &sink{eng: eng}, &sink{eng: eng}, &sink{eng: eng}
-	txA := sw.AttachPort(macA, a)
+	txA := sw.AttachPort(macA, a).Send
 	sw.AttachPort(macB, b)
 	sw.AttachPort(macC, c)
 	frame := make([]byte, 100)
@@ -194,7 +194,7 @@ func TestSwitchAddsForwardingLatency(t *testing.T) {
 	macA := packet.MAC{2, 0, 0, 0, 0, 1}
 	macB := packet.MAC{2, 0, 0, 0, 0, 2}
 	b := &sink{eng: eng}
-	txA := sw.AttachPort(macA, &sink{eng: eng})
+	txA := sw.AttachPort(macA, &sink{eng: eng}).Send
 	sw.AttachPort(macB, b)
 	frame := make([]byte, 100)
 	copy(frame[0:6], macB[:])
@@ -212,7 +212,7 @@ func TestSwitchDropsUnknownMAC(t *testing.T) {
 	eng := sim.NewEngine(1)
 	sw := NewSwitch(eng, DirectCable10G(), 0)
 	macA := packet.MAC{2, 0, 0, 0, 0, 1}
-	txA := sw.AttachPort(macA, &sink{eng: eng})
+	txA := sw.AttachPort(macA, &sink{eng: eng}).Send
 	frame := make([]byte, 100) // dst MAC all-zero: unknown
 	frame[5] = 0x77
 	eng.Schedule(0, func() { txA(frame) })
@@ -227,7 +227,7 @@ func TestSwitchLosslessByDefault(t *testing.T) {
 	macA := packet.MAC{2, 0, 0, 0, 0, 1}
 	macB := packet.MAC{2, 0, 0, 0, 0, 2}
 	b := &sink{eng: eng}
-	txA := sw.AttachPort(macA, &sink{eng: eng})
+	txA := sw.AttachPort(macA, &sink{eng: eng}).Send
 	sw.AttachPort(macB, b)
 	const n = 500
 	frame := make([]byte, 1000)
@@ -257,8 +257,8 @@ func TestSwitchIncastTailDrop(t *testing.T) {
 	macB := packet.MAC{2, 0, 0, 0, 0, 2}
 	macC := packet.MAC{2, 0, 0, 0, 0, 3}
 	c := &sink{eng: eng}
-	txA := sw.AttachPort(macA, &sink{eng: eng})
-	txB := sw.AttachPort(macB, &sink{eng: eng})
+	txA := sw.AttachPort(macA, &sink{eng: eng}).Send
+	txB := sw.AttachPort(macB, &sink{eng: eng}).Send
 	sw.AttachPort(macC, c)
 	const n = 400
 	frame := make([]byte, 1200)

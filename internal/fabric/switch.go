@@ -71,10 +71,9 @@ type SwitchPortStats struct {
 
 // Switch is a store-and-forward Ethernet switch that routes by
 // destination MAC, with a shared buffer pool, per-priority PFC and ECN
-// marking. All switch state lives on one engine (its own shard in a
-// sharded topology); NIC-side Ports live on their NIC's engine and talk
-// to the switch through cross-shard events bounded by the cable
-// propagation delay.
+// marking. The switch, its ports and the NIC-side Ports all run on one
+// engine; frames and PFC control frames between a NIC and the switch
+// arrive after the cable propagation delay.
 type Switch struct {
 	eng *sim.Engine
 	cfg SwitchConfig
@@ -141,14 +140,11 @@ func (s *Switch) NumPorts() int { return len(s.ports) }
 // PortMAC returns the MAC attached to port i.
 func (s *Switch) PortMAC(i int) packet.MAC { return s.ports[i].mac }
 
-// PortStats returns a snapshot of port i's counters. Read it from the
-// switch engine's context in sharded topologies.
+// PortStats returns a snapshot of port i's counters.
 func (s *Switch) PortStats(i int) SwitchPortStats { return s.ports[i].stats }
 
 // SetEgressFaults installs a fault injector on port i's egress wire
-// (switch→NIC direction); nil removes it. The injector is judged on the
-// switch's engine, so in a sharded topology it must draw randomness
-// from that engine's RNG only.
+// (switch→NIC direction); nil removes it.
 func (s *Switch) SetEgressFaults(i int, f FaultInjector) { s.ports[i].dir.faults = f }
 
 // BufferedBytes reports the shared pool bytes currently in use.
@@ -166,15 +162,14 @@ func (s *Switch) classify(frame []byte) uint8 {
 	return p
 }
 
-// Port is the NIC-side attachment point of one switch port. It lives on
-// the NIC's engine: Send serializes the frame onto the uplink wire and
-// hands it to the switch after propagation + forwarding delay, and PFC
-// pause frames from the switch land here. While a priority is paused the
-// port buffers frames (lossless) instead of transmitting them.
+// Port is the NIC-side attachment point of one switch port: Send
+// serializes the frame onto the uplink wire and hands it to the switch
+// after propagation + forwarding delay, and PFC pause frames from the
+// switch land here. While a priority is paused the port buffers frames
+// (lossless) instead of transmitting them.
 type Port struct {
-	sw  *Switch
-	p   *swPort
-	eng *sim.Engine // NIC engine
+	sw *Switch
+	p  *swPort
 
 	uplink *sim.Serializer
 	paused [NumPriorities]bool
@@ -196,40 +191,28 @@ type PortStats struct {
 }
 
 // SetFaults installs a fault injector on the uplink (NIC→switch)
-// direction of this port; nil removes it. The injector is judged on the
-// NIC's engine — in a sharded topology it must draw randomness from
-// that engine's RNG only. Together with Switch.SetEgressFaults this
-// gives a switched topology the same per-direction chaos surface a
-// point-to-point Link has.
+// direction of this port; nil removes it. Together with
+// Switch.SetEgressFaults this gives a switched topology the same
+// per-direction chaos surface a point-to-point Link has.
 func (p *Port) SetFaults(f FaultInjector) { p.faults = f }
 
-// AttachPort connects an endpoint with the given MAC on the switch's own
-// engine and returns the transmit function the endpoint uses (classic
-// single-engine form; see AttachPortOn for sharded topologies).
-func (s *Switch) AttachPort(mac packet.MAC, ep Endpoint) func(frame []byte) {
-	return s.AttachPortOn(s.eng, mac, ep).Send
-}
-
-// AttachPortOn connects an endpoint living on nicEng with the given MAC
-// and returns its NIC-side Port. In a sharded topology nicEng is the
-// machine's shard and the switch runs on its own shard; the cable
-// propagation delay is the cross-shard lookahead in both directions.
-func (s *Switch) AttachPortOn(nicEng *sim.Engine, mac packet.MAC, ep Endpoint) *Port {
+// AttachPort connects an endpoint with the given MAC and returns its
+// NIC-side Port; the endpoint transmits through Port.Send.
+func (s *Switch) AttachPort(mac packet.MAC, ep Endpoint) *Port {
 	sp := &swPort{
 		sw:  s,
 		idx: len(s.ports),
 		mac: mac,
-		dir: newDirection(s.eng, nicEng, s.cfg.Link.BandwidthGbps, s.cfg.Link.Propagation, ep),
+		dir: newDirection(s.eng, s.cfg.Link.BandwidthGbps, s.cfg.Link.Propagation, ep),
 	}
-	sp.nic = &Port{sw: s, p: sp, eng: nicEng, uplink: sim.NewSerializer(nicEng)}
+	sp.nic = &Port{sw: s, p: sp, uplink: sim.NewSerializer(s.eng)}
 	s.ports = append(s.ports, sp)
 	s.byMAC[mac] = sp
 	return sp.nic
 }
 
 // Send transmits one frame toward the switch. The caller may retain and
-// recycle its buffer as soon as Send returns. Call it from the NIC
-// engine's event context.
+// recycle its buffer as soon as Send returns.
 func (p *Port) Send(frame []byte) {
 	prio := p.sw.classify(frame)
 	if p.paused[prio] {
@@ -254,7 +237,7 @@ func (p *Port) transmit(prio uint8, buf []byte) {
 	sp := p.p
 	var v Verdict
 	if p.faults != nil {
-		v = p.faults.Judge(p.eng.Now(), len(buf))
+		v = p.faults.Judge(p.sw.eng.Now(), len(buf))
 	}
 	if v.Drop {
 		p.stats.Dropped++
@@ -263,8 +246,8 @@ func (p *Port) transmit(prio uint8, buf []byte) {
 	}
 	if v.Corrupt {
 		p.stats.Corrupted++
-		pos := p.eng.Rand().Intn(len(buf))
-		buf[pos] ^= 1 << p.eng.Rand().Intn(8)
+		pos := p.sw.eng.Rand().Intn(len(buf))
+		buf[pos] ^= 1 << p.sw.eng.Rand().Intn(8)
 	}
 	if v.Delay > 0 {
 		p.stats.Delayed++
@@ -273,13 +256,12 @@ func (p *Port) transmit(prio uint8, buf []byte) {
 	if v.Duplicate {
 		p.stats.Duplicated++
 		dup := packet.CloneFrame(buf)
-		p.eng.CrossScheduleAt(p.sw.eng, at.Add(v.DupDelay), func() { p.sw.ingress(sp, prio, dup) })
+		p.sw.eng.ScheduleAt(at.Add(v.DupDelay), func() { p.sw.ingress(sp, prio, dup) })
 	}
-	p.eng.CrossScheduleAt(p.sw.eng, at, func() { p.sw.ingress(sp, prio, buf) })
+	p.sw.eng.ScheduleAt(at, func() { p.sw.ingress(sp, prio, buf) })
 }
 
-// setPaused applies a PFC pause or resume from the switch (fires on the
-// NIC engine). Resume drains the held frames back through the uplink
+// setPaused applies a PFC pause or resume from the switch. Resume drains the held frames back through the uplink
 // serializer, preserving per-priority FIFO order.
 func (p *Port) setPaused(prio uint8, paused bool) {
 	if paused {
@@ -296,12 +278,11 @@ func (p *Port) setPaused(prio uint8, paused bool) {
 	}
 }
 
-// Paused reports whether the given priority is currently paused (NIC
-// engine state).
+// Paused reports whether the given priority is currently paused.
 func (p *Port) Paused(prio uint8) bool { return p.paused[prio] }
 
 // HeldFrames reports how many frames are currently buffered behind
-// pauses (NIC engine state).
+// pauses.
 func (p *Port) HeldFrames() int {
 	n := 0
 	for i := range p.held {
@@ -314,8 +295,7 @@ func (p *Port) HeldFrames() int {
 func (p *Port) Stats() PortStats { return p.stats }
 
 // Health is the NIC-side port scrape (export.ScrapeFunc shape): PFC
-// frames received and the current hold state. Register it on the NIC's
-// engine in sharded topologies.
+// frames received and the current hold state.
 func (p *Port) Health() (map[string]uint64, map[string]float64) {
 	paused := 0.0
 	for i := range p.paused {
@@ -337,7 +317,7 @@ func (p *Port) Health() (map[string]uint64, map[string]float64) {
 		}
 }
 
-// ingress runs on the switch engine when a frame fully arrives from a
+// ingress runs when a frame fully arrives from a
 // port: route, admit against the shared buffer, mark, queue, transmit.
 // buf is owned by the switch (recycled here; the egress wire clones).
 func (s *Switch) ingress(from *swPort, prio uint8, buf []byte) {
@@ -414,7 +394,7 @@ func (s *Switch) checkPause(from *swPort, prio uint8) {
 	from.paused[prio] = true
 	from.stats.PauseTx++
 	nic, pr := from.nic, prio
-	s.eng.CrossScheduleAt(nic.eng, s.eng.Now().Add(s.cfg.Link.Propagation), func() { nic.setPaused(pr, true) })
+	s.eng.Schedule(s.cfg.Link.Propagation, func() { nic.setPaused(pr, true) })
 }
 
 // release returns a transmitted frame's bytes to the shared pool and
@@ -431,7 +411,7 @@ func (s *Switch) release(from, out *swPort, prio uint8, n int) {
 	from.paused[prio] = false
 	from.stats.ResumeTx++
 	nic, pr := from.nic, prio
-	s.eng.CrossScheduleAt(nic.eng, s.eng.Now().Add(s.cfg.Link.Propagation), func() { nic.setPaused(pr, false) })
+	s.eng.Schedule(s.cfg.Link.Propagation, func() { nic.setPaused(pr, false) })
 }
 
 // PortHealth returns an export.ScrapeFunc-shaped report for port i on

@@ -55,9 +55,9 @@ func runPFCCase(t *testing.T, c pfcCase) (*Switch, [2]*Port, *sink) {
 	})
 	recv := &sink{eng: eng}
 	var ports [2]*Port
-	ports[0] = sw.AttachPortOn(eng, macA, &sink{eng: eng})
-	ports[1] = sw.AttachPortOn(eng, macB, &sink{eng: eng})
-	sw.AttachPortOn(eng, macC, recv)
+	ports[0] = sw.AttachPort(macA, &sink{eng: eng})
+	ports[1] = sw.AttachPort(macB, &sink{eng: eng})
+	sw.AttachPort(macC, recv)
 	// Paced: each sender sends at its uplink's wire rate, so the pause
 	// frame lands mid-stream and later frames are held at the NIC.
 	// Burst: everything enters the uplink at t=0 — the switch crosses
@@ -181,9 +181,9 @@ func TestPFCCycleDeadlockFree(t *testing.T) {
 	ha := &hopper{next: macB, hops: &hops, stop: wantHops}
 	hb := &hopper{next: macC, hops: &hops, stop: wantHops}
 	hc := &hopper{next: macA, hops: &hops, stop: wantHops}
-	ha.tx = sw.AttachPortOn(eng, macA, ha)
-	hb.tx = sw.AttachPortOn(eng, macB, hb)
-	hc.tx = sw.AttachPortOn(eng, macC, hc)
+	ha.tx = sw.AttachPort(macA, ha)
+	hb.tx = sw.AttachPort(macB, hb)
+	hc.tx = sw.AttachPort(macC, hc)
 	eng.Schedule(0, func() {
 		// Enough initial load on every leg of the cycle to cross each
 		// pause watermark.
@@ -222,9 +222,9 @@ func TestSwitchECNMarking(t *testing.T) {
 			ECNThresholdBytes: threshold,
 		})
 		recv := &sink{eng: eng}
-		a := sw.AttachPortOn(eng, macA, &sink{eng: eng})
-		b := sw.AttachPortOn(eng, macB, &sink{eng: eng})
-		sw.AttachPortOn(eng, macC, recv)
+		a := sw.AttachPort(macA, &sink{eng: eng})
+		b := sw.AttachPort(macB, &sink{eng: eng})
+		sw.AttachPort(macC, recv)
 		eng.Schedule(0, func() {
 			for i := 0; i < 20; i++ {
 				a.Send(mkframe(macC, 1000))
@@ -275,9 +275,9 @@ func TestSwitchConservation(t *testing.T) {
 		EgressCapFrames:  3,
 	})
 	recv := &sink{eng: eng}
-	a := sw.AttachPortOn(eng, macA, &sink{eng: eng})
-	b := sw.AttachPortOn(eng, macB, &sink{eng: eng})
-	sw.AttachPortOn(eng, macC, recv)
+	a := sw.AttachPort(macA, &sink{eng: eng})
+	b := sw.AttachPort(macB, &sink{eng: eng})
+	sw.AttachPort(macC, recv)
 	unknown := packet.MAC{9, 9, 9, 9, 9, 9}
 	eng.Schedule(0, func() {
 		for i := 0; i < 40; i++ {
@@ -346,7 +346,7 @@ func FuzzSwitchArbitration(f *testing.F) {
 		for i := 0; i < n; i++ {
 			mac := packet.MAC{2, 0, 0, 0, 0, byte(i + 1)}
 			sinks[i] = &sink{eng: eng}
-			ports[i] = sw.AttachPortOn(eng, mac, sinks[i])
+			ports[i] = sw.AttachPort(mac, sinks[i])
 		}
 		sent := 0
 		eng.Schedule(0, func() {

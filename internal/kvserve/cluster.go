@@ -193,8 +193,7 @@ func TornRule() export.Rule {
 }
 
 // RegisterHealth registers every server's heartbeat surface and the
-// client's torn-read surface with the recorder, each on the engine that
-// owns it (sound under sharding).
+// client's torn-read surface with the recorder.
 func (cl *Cluster) RegisterHealth(rec *export.Recorder) {
 	for _, srv := range cl.Servers {
 		rec.Source(srv.M.Eng, fmt.Sprintf("m%d", srv.M.Index), "kv", srv.ObjectName(), srv.Health)

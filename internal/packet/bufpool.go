@@ -13,10 +13,10 @@ type frameBuf struct{ b []byte }
 // fabric hops. The TX path of a single message can encode hundreds of
 // thousands of MTU-sized frames; recycling the buffers keeps the
 // simulator's hot path free of per-packet allocations. The pool is
-// shared by all engines (sync.Pool is safe for concurrent use, so
-// shards of one group may exchange buffers) and only ever holds plain
-// byte slices, so it cannot leak simulation state between independent
-// engines: every byte of a frame taken from the pool is rewritten by
+// shared by all engines (sync.Pool is safe for concurrent use, so the
+// -j harness's parallel simulations may exchange buffers) and only ever
+// holds plain byte slices, so it cannot leak simulation state between
+// independent engines: every byte of a frame taken from the pool is rewritten by
 // EncodeTo or CloneFrame before use.
 var framePool = sync.Pool{
 	New: func() any { return &frameBuf{b: make([]byte, 0, 2048)} },

@@ -96,11 +96,6 @@ type Engine struct {
 
 	// process support
 	running *Process
-
-	// shard support (see shard.go); zero values for standalone engines.
-	group     *ShardGroup
-	shardIdx  int32
-	windowEnd Time
 }
 
 // NewEngine returns an engine at time zero with a deterministic RNG seeded
@@ -145,11 +140,11 @@ func (e *Engine) ScheduleAt(t Time, fn func()) Event {
 
 // ScheduleDaemon runs fn after delay d as a daemon event: it fires in
 // timestamp order like any other event, but does not keep the
-// simulation alive — Run (and a shard group's barrier loop) terminates
-// once only daemon events remain, leaving them unfired. Periodic
-// background activity (telemetry scrapers, watchdog probes) schedules
-// itself this way so that two observers can never sustain each other
-// in an otherwise finished simulation.
+// simulation alive — Run terminates once only daemon events remain,
+// leaving them unfired. Periodic background activity (telemetry
+// scrapers, watchdog probes) schedules itself this way so that two
+// observers can never sustain each other in an otherwise finished
+// simulation.
 func (e *Engine) ScheduleDaemon(d Duration, fn func()) Event {
 	if d < 0 {
 		d = 0
@@ -352,8 +347,8 @@ func (e *Engine) RunUntil(t Time) Time {
 // Pending reports the number of live queued foreground events in O(1):
 // the heap length minus cancelled-but-unreclaimed entries and daemon
 // events. Daemons are excluded because Pending answers "is there work
-// that keeps the simulation alive?" — the question Run, the shard
-// barrier loop and self-limiting probes all ask.
+// that keeps the simulation alive?" — the question Run and
+// self-limiting probes both ask.
 func (e *Engine) Pending() int {
 	return len(e.heap) - e.ndead - e.ndaemon
 }

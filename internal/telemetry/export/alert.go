@@ -174,12 +174,12 @@ type alertPayload struct {
 	Value  float64 `json:"value"`
 }
 
-// alerter evaluates one rule set against the sources of one scraper
-// (one engine shard). Each (rule, object, metric) triple has
-// independent state — a glob rule matching several metrics of one
-// source tracks each independently; evaluation order — rules in
-// declaration order per source, matched metrics in sorted order,
-// sources in registration order — is deterministic.
+// alerter evaluates one rule set against a recorder's sources. Each
+// (rule, object, metric) triple has independent state — a glob rule
+// matching several metrics of one source tracks each independently;
+// evaluation order — rules in declaration order per source, matched
+// metrics in sorted order, sources in registration order — is
+// deterministic.
 type alerter struct {
 	rules  []Rule
 	states map[stateKey]*alertState

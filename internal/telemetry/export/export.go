@@ -8,7 +8,7 @@
 // The package has three layers:
 //
 //   - Envelope (Event, Encode, Decode): one JSONL line per event with a
-//     simulated timestamp, host, subsystem, message type, per-segment
+//     simulated timestamp, host, subsystem, message type, per-recorder
 //     sequence number and a JSON payload. Encoding is deterministic
 //     (struct field order, sorted map keys), so same-seed runs emit
 //     byte-identical streams.
@@ -16,17 +16,14 @@
 //   - Recorder: a DES-driven periodic scraper. Health sources (the
 //     per-port/per-link surfaces of core.NIC and fabric.Link) and
 //     optionally a whole telemetry.Registry are scraped every interval
-//     of simulated time; each scrape emits health/metrics events into a
-//     per-engine segment. Segments are merged deterministically at
-//     export time — (timestamp, segment rank, sequence) — so a sharded
-//     testbed produces the identical stream at every worker count.
+//     of simulated time; each scrape emits health/metrics events in
+//     timestamp order.
 //
 //   - Alerts: declarative threshold / rate / no-progress rules
 //     evaluated at every scrape point, emitting alert events into the
 //     same stream plus a final per-rule summary.
 //
-// Determinism contract: all scrape times come from the owning engines'
-// clocks, sources are scraped in registration order, rules are
+// Determinism contract: all scrape times come from the engine's clock, sources are scraped in registration order, rules are
 // evaluated in declaration order, and every encoder sorts its keys.
 package export
 
@@ -42,9 +39,7 @@ import (
 type Event struct {
 	// TS is the simulated time of the event in picoseconds.
 	TS int64 `json:"ts_ps"`
-	// Seq numbers events within their segment (one segment per engine
-	// shard), starting at 0. Within one (host, subsystem) pair it is
-	// monotonically increasing.
+	// Seq numbers the recorder's events, starting at 0.
 	Seq uint64 `json:"seq"`
 	// Host names the machine (or pseudo-host, e.g. "fabric") the event
 	// describes.

@@ -79,8 +79,7 @@ package export
 // the probe interval, not per packet.
 
 // ScrapeFunc returns a point-in-time health report: named counters
-// (cumulative) and gauges. Implementations must read only state owned
-// by the engine the source was registered on (the shard contract).
+// (cumulative) and gauges, read from the engine's event context.
 type ScrapeFunc func() (counters map[string]uint64, gauges map[string]float64)
 
 // healthPayload is the JSON payload of a "health" event.

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"strom/internal/sim"
 	"strom/internal/telemetry"
@@ -62,55 +61,35 @@ type source struct {
 	last      map[string]uint64 // previous scrape, for deltas
 }
 
-// segEvent is an event plus its merge rank within the recorder.
-type segEvent struct {
-	ev  Event
-	fin bool // end-of-run event: sorts after same-timestamp scrapes
-	seg int
-}
-
-// regEntry is one registered registry (or registry scope) scraped by a
-// scraper.
+// regEntry is one registered registry scraped by the recorder.
 type regEntry struct {
 	host string
 	reg  *telemetry.Registry
 	last map[string]uint64 // previous counter values, for deltas
 }
 
-// scraper drives the sources living on one engine: one probe per
-// engine, scraping sources in registration order, evaluating alert
-// rules, and appending events to this segment.
-type scraper struct {
-	rec     *Recorder
-	eng     *sim.Engine
-	seg     int
-	sources []*source
-	regs    []*regEntry // optional registry scrapes, in registration order
-	alerts  *alerter
-	seq     uint64
-	events  []segEvent
-}
-
-// Recorder assembles the stream: per-engine scrapers (segments), the
-// shared rule set, and the deterministic merge. Zero-value construction
-// is not supported; use NewRecorder.
+// Recorder assembles the stream: the registered sources and registries,
+// the rule set, and the events emitted so far. Every source lives on one
+// engine, whose probe scrapes them in registration order. Zero-value
+// construction is not supported; use NewRecorder.
 //
 // Usage: register sources (and optionally a registry) during setup,
 // Start after the workload has been scheduled, run the simulation, then
-// Drain/WriteTo. On a sharded testbed each engine's sources are scraped
-// by that shard (the single-writer contract); the merged stream is
-// byte-identical for every worker count.
+// Drain/WriteTo.
 type Recorder struct {
-	mu        sync.Mutex // guards segment creation (sharded setup)
-	rules     []Rule
-	scrapers  []*scraper
+	eng       *sim.Engine // bound by the first Source or Registry call
+	sources   []*source
+	regs      []*regEntry // optional registry scrapes, in registration order
+	alerts    *alerter
+	seq       uint64
+	events    []Event
 	observers []func(AlertEvent)
 	finished  bool
 }
 
 // NewRecorder returns a recorder evaluating rules (nil = no alerting).
 func NewRecorder(rules []Rule) *Recorder {
-	return &Recorder{rules: rules}
+	return &Recorder{alerts: newAlerter(rules)}
 }
 
 // AlertEvent is one fire/resolve transition as seen by OnAlert
@@ -127,9 +106,7 @@ type AlertEvent struct {
 // OnAlert registers fn to run synchronously on every alert fire and
 // resolve, from the scraping engine's event context at the scrape's
 // simulated time. This is the hook controllers (the KV failover
-// controller) sit on: the callback may mutate state owned by the
-// scraping shard but must not touch other shards' state. Call during
-// single-threaded setup.
+// controller) sit on. Call during setup.
 func (r *Recorder) OnAlert(fn func(AlertEvent)) {
 	if fn != nil {
 		r.observers = append(r.observers, fn)
@@ -147,28 +124,25 @@ func (r *Recorder) notify(now sim.Time, typ string, p alertPayload) {
 	}
 }
 
-// scraperFor returns the segment for eng, creating it on first use.
-// Segment rank is creation order, which must be deterministic (register
-// sources during single-threaded setup).
-func (r *Recorder) scraperFor(eng *sim.Engine) *scraper {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range r.scrapers {
-		if s.eng == eng {
-			return s
-		}
+// bind ties the recorder to eng. Every source and registry must live on
+// the one engine whose probe scrapes them.
+func (r *Recorder) bind(eng *sim.Engine) {
+	if r.eng == nil {
+		r.eng = eng
+		return
 	}
-	s := &scraper{rec: r, eng: eng, seg: len(r.scrapers), alerts: newAlerter(r.rules)}
-	r.scrapers = append(r.scrapers, s)
-	return r.scrapers[len(r.scrapers)-1]
+	if eng != r.eng {
+		panic("export: recorder sources registered on two engines")
+	}
 }
 
 // Source registers a health source on the engine that owns its state.
 // host/subsystem/object name the source in the stream ("A"/"port"/
-// "nic:A", "fabric"/"link"/"a-to-b", ...).
+// "nic:A", "fabric"/"link"/"a-to-b", ...). Every source and registry of
+// one recorder must share an engine; a second engine panics.
 func (r *Recorder) Source(eng *sim.Engine, host, subsystem, object string, scrape ScrapeFunc) {
-	s := r.scraperFor(eng)
-	s.sources = append(s.sources, &source{host: host, subsystem: subsystem, object: object, scrape: scrape})
+	r.bind(eng)
+	r.sources = append(r.sources, &source{host: host, subsystem: subsystem, object: object, scrape: scrape})
 }
 
 // Registry additionally scrapes a whole metrics registry on eng every
@@ -177,65 +151,50 @@ func (r *Recorder) Source(eng *sim.Engine, host, subsystem, object string, scrap
 // ...) with counters, counter deltas, gauges and histogram digests.
 // Quantile rules are evaluated here, against every histogram of the
 // scraped registry, with host as the alert object. May be called more
-// than once per engine — each registry (or scope) is scraped in
-// registration order.
-//
-// A registry's collect callbacks mirror state owned by every component
-// that attached to it, so mid-run collection is only sound when
-// everything that resolved metrics or collectors through reg lives on
-// eng. On a sharded testbed, attach one telemetry.Registry.Scope per
-// machine (each component resolves its metrics through its machine's
-// scope) and register each scope here on that machine's engine: every
-// mid-run scrape then touches only shard-owned state, and the parent
-// registry keeps the union for end-of-run exports. Attaching a shared
-// flat registry remains sound on unsharded testbeds only.
+// than once — each registry is scraped in registration order, after
+// the health sources.
 func (r *Recorder) Registry(eng *sim.Engine, host string, reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	s := r.scraperFor(eng)
-	s.regs = append(s.regs, &regEntry{host: host, reg: reg, last: make(map[string]uint64)})
+	r.bind(eng)
+	r.regs = append(r.regs, &regEntry{host: host, reg: reg, last: make(map[string]uint64)})
 }
 
-// Start installs one scrape probe per engine. The probes are daemon
-// events: they scrape for as long as the workload runs and can never
-// keep a finished simulation alive, even alongside other probes — so
-// Start works whether it is called before or after the workload is
-// scheduled.
+// Start installs the scrape probe. The probe is a daemon event: it
+// scrapes for as long as the workload runs and can never keep a finished
+// simulation alive, even alongside other probes — so Start works whether
+// it is called before or after the workload is scheduled.
 func (r *Recorder) Start(every sim.Duration) {
-	for _, s := range r.scrapers {
-		s := s
-		telemetry.DaemonProbe(s.eng, every, func(now sim.Time) { s.tick(now) })
+	if r.eng == nil {
+		return
 	}
+	telemetry.DaemonProbe(r.eng, every, r.tick)
 }
 
-// emit appends one event to the segment.
-func (s *scraper) emit(now sim.Time, fin bool, host, subsystem, typ string, data any) {
-	s.events = append(s.events, segEvent{
-		ev: Event{
-			TS: int64(now), Seq: s.seq, Host: host, Subsystem: subsystem,
-			Type: typ, Data: marshalData(data),
-		},
-		fin: fin,
-		seg: s.seg,
+// emit appends one event to the stream.
+func (r *Recorder) emit(now sim.Time, host, subsystem, typ string, data any) {
+	r.events = append(r.events, Event{
+		TS: int64(now), Seq: r.seq, Host: host, Subsystem: subsystem,
+		Type: typ, Data: marshalData(data),
 	})
-	s.seq++
+	r.seq++
 }
 
 // tick is one scrape point: health sources in order, then the
 // registries.
-func (s *scraper) tick(now sim.Time) {
-	for _, src := range s.sources {
-		s.scrapeSource(now, false, src)
+func (r *Recorder) tick(now sim.Time) {
+	for _, src := range r.sources {
+		r.scrapeSource(now, src)
 	}
-	for _, e := range s.regs {
-		s.scrapeRegistry(now, false, e)
+	for _, e := range r.regs {
+		r.scrapeRegistry(now, e)
 	}
 }
 
 // scrapeSource scrapes one source, emits its health event and runs the
 // alert rules over the fresh report.
-func (s *scraper) scrapeSource(now sim.Time, fin bool, src *source) {
+func (r *Recorder) scrapeSource(now sim.Time, src *source) {
 	counters, gauges := src.scrape()
 	delta := make(map[string]uint64, len(counters))
 	for k, v := range counters {
@@ -244,12 +203,12 @@ func (s *scraper) scrapeSource(now sim.Time, fin bool, src *source) {
 		}
 	}
 	src.last = counters
-	s.emit(now, fin, src.host, src.subsystem, "health", healthPayload{
+	r.emit(now, src.host, src.subsystem, "health", healthPayload{
 		Object: src.object, Counters: counters, Delta: delta, Gauges: gauges,
 	})
-	s.alerts.eval(now, src.object, counters, gauges, func(typ string, p alertPayload) {
-		s.emit(now, fin, src.host, "alert", typ, p)
-		s.rec.notify(now, typ, p)
+	r.alerts.eval(now, src.object, counters, gauges, func(typ string, p alertPayload) {
+		r.emit(now, src.host, "alert", typ, p)
+		r.notify(now, typ, p)
 	})
 }
 
@@ -272,7 +231,7 @@ type histDigest struct {
 // scrapeRegistry collects one registry and emits one "metrics" event
 // per subsystem, in sorted subsystem order, then runs the Quantile
 // rules over its histograms.
-func (s *scraper) scrapeRegistry(now sim.Time, fin bool, e *regEntry) {
+func (r *Recorder) scrapeRegistry(now sim.Time, e *regEntry) {
 	e.reg.Collect()
 	bySub := make(map[string]*metricsPayload)
 	get := func(key string) *metricsPayload {
@@ -305,7 +264,7 @@ func (s *scraper) scrapeRegistry(now sim.Time, fin bool, e *regEntry) {
 		}
 		p.Gauges[key] = v
 	})
-	quantiles := s.alerts.hasQuantile()
+	quantiles := r.alerts.hasQuantile()
 	e.reg.EachHistogram(func(key string, h *telemetry.Histogram) {
 		p := get(key)
 		if p.Histograms == nil {
@@ -316,9 +275,9 @@ func (s *scraper) scrapeRegistry(now sim.Time, fin bool, e *regEntry) {
 			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
 		}
 		if quantiles && h.Count() > 0 {
-			s.alerts.evalQuantile(now, e.host, key, h.Quantile, func(typ string, p alertPayload) {
-				s.emit(now, fin, e.host, "alert", typ, p)
-				s.rec.notify(now, typ, p)
+			r.alerts.evalQuantile(now, e.host, key, h.Quantile, func(typ string, p alertPayload) {
+				r.emit(now, e.host, "alert", typ, p)
+				r.notify(now, typ, p)
 			})
 		}
 	})
@@ -328,7 +287,7 @@ func (s *scraper) scrapeRegistry(now sim.Time, fin bool, e *regEntry) {
 	}
 	sort.Strings(subs)
 	for _, sub := range subs {
-		s.emit(now, fin, e.host, sub, "metrics", bySub[sub])
+		r.emit(now, e.host, sub, "metrics", bySub[sub])
 	}
 }
 
@@ -359,72 +318,52 @@ func subsystemOf(key string) string {
 // Finish emits the end-of-run events: one final health scrape per
 // source (so the stream always carries the run's last word, even when
 // the probe interval outlived the workload), a final registry snapshot,
-// and the per-scraper alert summaries. Idempotent; Drain calls it.
+// and the alert summaries. Idempotent; Drain calls it.
 func (r *Recorder) Finish() {
-	if r.finished {
+	if r.finished || r.eng == nil {
 		return
 	}
 	r.finished = true
-	for _, s := range r.scrapers {
-		now := s.eng.Now()
-		for _, src := range s.sources {
-			s.scrapeSource(now, true, src)
-		}
-		for _, e := range s.regs {
-			s.scrapeRegistry(now, true, e)
-		}
-		for _, sum := range s.alerts.summaries(s.objects()) {
-			s.emit(now, true, "testbed", "alert", "summary", sum)
-		}
+	now := r.eng.Now()
+	for _, src := range r.sources {
+		r.scrapeSource(now, src)
+	}
+	for _, e := range r.regs {
+		r.scrapeRegistry(now, e)
+	}
+	for _, sum := range r.alerts.summaries(r.objects()) {
+		r.emit(now, "testbed", "alert", "summary", sum)
 	}
 }
 
-// objects lists the scraper's alertable objects in registration order,
+// objects lists the alertable objects in registration order,
 // deduplicated: health sources first, then registry hosts (the
 // Quantile rules' alert objects).
-func (s *scraper) objects() []string {
-	seen := make(map[string]bool, len(s.sources)+len(s.regs))
-	out := make([]string, 0, len(s.sources)+len(s.regs))
+func (r *Recorder) objects() []string {
+	seen := make(map[string]bool, len(r.sources)+len(r.regs))
+	out := make([]string, 0, len(r.sources)+len(r.regs))
 	add := func(obj string) {
 		if !seen[obj] {
 			seen[obj] = true
 			out = append(out, obj)
 		}
 	}
-	for _, src := range s.sources {
+	for _, src := range r.sources {
 		add(src.object)
 	}
-	for _, e := range s.regs {
+	for _, e := range r.regs {
 		add(e.host)
 	}
 	return out
 }
 
-// Drain finishes the recorder and emits the merged stream into sink.
-// The merge key is (timestamp, end-of-run flag, segment rank, sequence)
-// — a total order independent of shard interleaving, so the stream is
-// byte-identical at every worker count.
+// Drain finishes the recorder and emits the stream into sink, in
+// emission order — which is timestamp order, since every event is
+// emitted at its engine's current time.
 func (r *Recorder) Drain(sink Sink) error {
 	r.Finish()
-	var all []segEvent
-	for _, s := range r.scrapers {
-		all = append(all, s.events...)
-	}
-	sort.SliceStable(all, func(a, b int) bool {
-		x, y := all[a], all[b]
-		if x.ev.TS != y.ev.TS {
-			return x.ev.TS < y.ev.TS
-		}
-		if x.fin != y.fin {
-			return !x.fin
-		}
-		if x.seg != y.seg {
-			return x.seg < y.seg
-		}
-		return x.ev.Seq < y.ev.Seq
-	})
-	for _, e := range all {
-		line, err := Encode(e.ev)
+	for _, ev := range r.events {
+		line, err := Encode(ev)
 		if err != nil {
 			return err
 		}
@@ -435,7 +374,7 @@ func (r *Recorder) Drain(sink Sink) error {
 	return nil
 }
 
-// WriteJSONL drains the merged stream into w as JSON Lines.
+// WriteJSONL drains the stream into w as JSON Lines.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	sink := NewWriterSink(w)
 	if err := r.Drain(sink); err != nil {
@@ -445,14 +384,10 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 }
 
 // Summaries finishes the recorder and returns every (rule, object)
-// alert tally, merged across segments in (segment, rule, object) order.
+// alert tally in (rule, object) order.
 func (r *Recorder) Summaries() []AlertSummary {
 	r.Finish()
-	var out []AlertSummary
-	for _, s := range r.scrapers {
-		out = append(out, s.alerts.summaries(s.objects())...)
-	}
-	return out
+	return r.alerts.summaries(r.objects())
 }
 
 // Fired reports how many times the named rule fired across all objects.

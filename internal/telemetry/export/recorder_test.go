@@ -92,17 +92,15 @@ func TestRecorderScrapesDeltasAndSummaries(t *testing.T) {
 	}
 }
 
-// shardedStream builds a two-shard group with one source per shard,
-// runs identical workloads and returns the merged JSONL bytes.
-func shardedStream(t *testing.T, workers int) []byte {
+// twoSourceStream registers two sources on one engine, drives them with
+// scheduled events and returns the JSONL bytes.
+func twoSourceStream(t *testing.T) []byte {
 	t.Helper()
-	g := sim.NewShardGroup(7, 2, 100*sim.Nanosecond)
-	g.SetWorkers(workers)
+	eng := sim.NewEngine(7)
 	rec := NewRecorder(DefaultRules())
 	ports := make([]*fakePort, 2)
 	for i := 0; i < 2; i++ {
 		i := i
-		eng := g.Shard(i)
 		ports[i] = &fakePort{}
 		host := string(rune('A' + i))
 		rec.Source(eng, host, "port", "nic:"+host, ports[i].scrape)
@@ -112,7 +110,7 @@ func shardedStream(t *testing.T, workers int) []byte {
 		}
 	}
 	rec.Start(3 * sim.Microsecond)
-	g.Run()
+	eng.Run()
 	var buf bytes.Buffer
 	if err := rec.WriteJSONL(&buf); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
@@ -120,11 +118,11 @@ func shardedStream(t *testing.T, workers int) []byte {
 	return buf.Bytes()
 }
 
-func TestRecorderByteIdenticalAcrossWorkers(t *testing.T) {
-	one := shardedStream(t, 1)
-	four := shardedStream(t, 4)
-	if !bytes.Equal(one, four) {
-		t.Fatalf("JSONL stream differs between 1 and 4 workers:\n--- w1 ---\n%s\n--- w4 ---\n%s", one, four)
+func TestRecorderByteIdenticalAcrossRuns(t *testing.T) {
+	one := twoSourceStream(t)
+	two := twoSourceStream(t)
+	if !bytes.Equal(one, two) {
+		t.Fatalf("JSONL stream differs between same-seed runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", one, two)
 	}
 	if len(one) == 0 {
 		t.Fatal("empty stream")
@@ -134,12 +132,12 @@ func TestRecorderByteIdenticalAcrossWorkers(t *testing.T) {
 		t.Fatalf("ReadAll: %v", err)
 	}
 	if len(tail.Objects) != 2 {
-		t.Fatalf("rollup has %d objects, want 2 (one per shard)", len(tail.Objects))
+		t.Fatalf("rollup has %d objects, want 2", len(tail.Objects))
 	}
 }
 
 func TestRecorderStreamOrdered(t *testing.T) {
-	raw := shardedStream(t, 2)
+	raw := twoSourceStream(t)
 	sink := &MemorySink{}
 	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
 		if len(bytes.TrimSpace(line)) == 0 {
@@ -154,8 +152,24 @@ func TestRecorderStreamOrdered(t *testing.T) {
 		if ev.TS < prev {
 			t.Fatalf("event %d out of order: ts %d after %d", i, ev.TS, prev)
 		}
+		if ev.Seq != uint64(i) {
+			t.Fatalf("event %d has seq %d", i, ev.Seq)
+		}
 		prev = ev.TS
 	}
+}
+
+// A recorder scrapes from one engine's probe; a source registered on a
+// second engine is a wiring bug and panics at registration.
+func TestRecorderRejectsSecondEngine(t *testing.T) {
+	rec := NewRecorder(nil)
+	rec.Source(sim.NewEngine(1), "A", "port", "nic:A", (&fakePort{}).scrape)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering a source on a second engine did not panic")
+		}
+	}()
+	rec.Source(sim.NewEngine(2), "B", "port", "nic:B", (&fakePort{}).scrape)
 }
 
 // OnAlert observers see every fire/resolve event as it happens in sim

@@ -61,20 +61,15 @@ func (g *Gauge) Value() float64 {
 // Registry is a label-keyed collection of metrics.
 //
 // Handle resolution (Counter/Gauge/Histogram lookups) is guarded by a
-// mutex so shards of one sim.ShardGroup may resolve handles from their
-// own goroutines. The metric values themselves are deliberately plain
-// fields: the shard contract is single-writer-per-handle — every metric
-// key (distinguished by nic/direction labels) is written by exactly one
-// shard, and the group's window barriers provide the happens-before
-// edge that makes all writes visible to the exporting goroutine after
-// Run returns. Components that share a key across shards are a bug the
-// race detector catches in `make check`.
+// mutex, so a registry shared by concurrently running simulations may
+// resolve handles from their goroutines. The metric values themselves
+// are plain fields, written from the event context of the engine that
+// owns the component.
 //
 // The nil *Registry is valid and inert: metric constructors return nil
 // handles and OnCollect/Collect do nothing.
 type Registry struct {
 	mu         sync.RWMutex
-	parent     *Registry
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
@@ -88,30 +83,6 @@ func NewRegistry() *Registry {
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
-}
-
-// Scope returns a child registry sharing this registry's handles: a
-// metric resolved through the scope resolves to the same Counter/Gauge/
-// Histogram the parent would return for that key, and collect callbacks
-// registered on the scope also run on the parent's Collect. What the
-// scope adds is a *view*: its Each*, Collect and Snapshot cover only
-// the keys resolved (and callbacks registered) through it.
-//
-// This is what makes mid-run registry scraping sound on a sharded
-// testbed: give each machine a scope, resolve that machine's metrics
-// and collectors through it, and register the scope with the JSONL
-// recorder on that machine's engine. Every mid-run scrape then touches
-// only state owned by the scraping shard, while the parent still sees
-// the union for end-of-run WriteJSON (after the group's final barrier,
-// where every shard's writes are visible). Scope on the nil Registry
-// returns nil.
-func (r *Registry) Scope() *Registry {
-	if r == nil {
-		return nil
-	}
-	s := NewRegistry()
-	s.parent = r
-	return s
 }
 
 // Counter returns the counter for name+labels, creating it on first use.
@@ -129,17 +100,10 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if ok {
 		return c
 	}
-	var shared *Counter
-	if r.parent != nil {
-		shared = r.parent.Counter(name, labels...)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c, ok = r.counters[k]; !ok {
-		c = shared
-		if c == nil {
-			c = &Counter{}
-		}
+		c = &Counter{}
 		r.counters[k] = c
 	}
 	return c
@@ -157,17 +121,10 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if ok {
 		return g
 	}
-	var shared *Gauge
-	if r.parent != nil {
-		shared = r.parent.Gauge(name, labels...)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if g, ok = r.gauges[k]; !ok {
-		g = shared
-		if g == nil {
-			g = &Gauge{}
-		}
+		g = &Gauge{}
 		r.gauges[k] = g
 	}
 	return g
@@ -187,17 +144,10 @@ func (r *Registry) Histogram(name, unit string, labels ...Label) *Histogram {
 	if ok {
 		return h
 	}
-	var shared *Histogram
-	if r.parent != nil {
-		shared = r.parent.Histogram(name, unit, labels...)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok = r.histograms[k]; !ok {
-		h = shared
-		if h == nil {
-			h = &Histogram{unit: unit}
-		}
+		h = &Histogram{unit: unit}
 		r.histograms[k] = h
 	}
 	return h
@@ -205,9 +155,7 @@ func (r *Registry) Histogram(name, unit string, labels ...Label) *Histogram {
 
 // OnCollect registers fn to run before every export. Components use this
 // to mirror their existing stats structs into the registry without
-// touching their hot paths. On a scope the callback also registers with
-// the parent, so the parent's end-of-run Collect refreshes every
-// scope's mirrors.
+// touching their hot paths.
 func (r *Registry) OnCollect(fn func()) {
 	if r == nil || fn == nil {
 		return
@@ -215,9 +163,6 @@ func (r *Registry) OnCollect(fn func()) {
 	r.mu.Lock()
 	r.collectors = append(r.collectors, fn)
 	r.mu.Unlock()
-	if r.parent != nil {
-		r.parent.OnCollect(fn)
-	}
 }
 
 // Collect runs the registered collect callbacks.

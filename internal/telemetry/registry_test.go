@@ -220,51 +220,3 @@ func TestNilTraceBufferIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Scope returns a child registry sharing the parent's handles while
-// keeping a scoped view: the same (name, labels) resolves to the same
-// counter, but each scope's Each*/Collect covers only what was resolved
-// (or registered) through it — the contract that makes per-machine
-// mid-run scraping sound on a sharded testbed.
-func TestScopeSharesHandlesAndScopedView(t *testing.T) {
-	parent := NewRegistry()
-	s1, s2 := parent.Scope(), parent.Scope()
-	c1 := s1.Counter("reqs", L("m", "0"))
-	if cp := parent.Counter("reqs", L("m", "0")); cp != c1 {
-		t.Fatal("scope resolved a different handle than the parent")
-	}
-	c2 := s2.Counter("reqs", L("m", "1"))
-	c1.Add(3)
-	c2.Add(5)
-	var collected1, collected2 int
-	s1.OnCollect(func() { collected1++ })
-	s2.OnCollect(func() { collected2++ })
-
-	view := func(r *Registry) map[string]uint64 {
-		out := map[string]uint64{}
-		r.EachCounter(func(key string, v uint64) { out[key] = v })
-		return out
-	}
-	v1, v2, vp := view(s1), view(s2), view(parent)
-	if len(v1) != 1 || v1["reqs{m=0}"] != 3 {
-		t.Fatalf("scope 1 view %v, want only reqs{m=0}=3", v1)
-	}
-	if len(v2) != 1 || v2["reqs{m=1}"] != 5 {
-		t.Fatalf("scope 2 view %v, want only reqs{m=1}=5", v2)
-	}
-	if len(vp) != 2 {
-		t.Fatalf("parent view %v, want the union", vp)
-	}
-	s1.Collect()
-	if collected1 != 1 || collected2 != 0 {
-		t.Fatalf("scope 1 Collect ran (%d, %d) callbacks, want only its own", collected1, collected2)
-	}
-	parent.Collect()
-	if collected1 != 2 || collected2 != 1 {
-		t.Fatalf("parent Collect ran (%d, %d), want every scope's callbacks", collected1, collected2)
-	}
-	var nilReg *Registry
-	if nilReg.Scope() != nil {
-		t.Fatal("Scope on the nil registry must return nil")
-	}
-}

@@ -36,65 +36,27 @@ type traceEvent struct {
 // tid per lane inside it (a QP, the TX or RX pipeline, a kernel) — and
 // can be named with NameProcess/NameThread.
 //
-// A buffer is bound to one engine; when a simulation runs as a
-// sim.ShardGroup, each shard records into its own segment (ForEngine)
-// and the export merges segments deterministically, so parallel runs
-// emit byte-identical traces. Single-segment buffers export in exact
-// emission order, preserving the historical unsharded output.
+// A buffer is bound to one engine and exports its events in emission
+// order.
 //
 // The nil *TraceBuffer is valid: every method is an allocation-free
 // no-op, so instrumentation hooks can run unconditionally on hot paths.
 type TraceBuffer struct {
 	eng    *sim.Engine
 	events []traceEvent
-	shared *traceShared
-	seg    int // stable rank of this segment in the merged export
-}
 
-// traceShared is the state all segments of one logical trace share:
-// track names (written during setup, mutex-guarded for safety) and the
-// segment list in creation order.
-type traceShared struct {
-	mu      sync.Mutex
+	mu      sync.Mutex // guards the track names
 	procs   map[uint32]string
 	threads map[uint64]string
-	segs    []*TraceBuffer
 }
 
 // NewTrace returns a trace buffer bound to eng.
 func NewTrace(eng *sim.Engine) *TraceBuffer {
-	t := &TraceBuffer{
-		eng: eng,
-		shared: &traceShared{
-			procs:   make(map[uint32]string),
-			threads: make(map[uint64]string),
-		},
+	return &TraceBuffer{
+		eng:     eng,
+		procs:   make(map[uint32]string),
+		threads: make(map[uint64]string),
 	}
-	t.shared.segs = []*TraceBuffer{t}
-	return t
-}
-
-// ForEngine returns the segment of this logical trace that records
-// against eng: the receiver itself when eng is its own engine, an
-// existing segment for eng, or a newly created one. Components running
-// on different shards write to different segments (no data races); any
-// segment exports the merged whole. Call during setup, before the
-// shard group runs. Nil-safe.
-func (t *TraceBuffer) ForEngine(eng *sim.Engine) *TraceBuffer {
-	if t == nil || eng == nil || t.eng == eng {
-		return t
-	}
-	sh := t.shared
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, s := range sh.segs {
-		if s.eng == eng {
-			return s
-		}
-	}
-	child := &TraceBuffer{eng: eng, shared: sh, seg: len(sh.segs)}
-	sh.segs = append(sh.segs, child)
-	return child
 }
 
 // NameProcess assigns a display name to a pid track group.
@@ -102,9 +64,9 @@ func (t *TraceBuffer) NameProcess(pid uint32, name string) {
 	if t == nil {
 		return
 	}
-	t.shared.mu.Lock()
-	t.shared.procs[pid] = name
-	t.shared.mu.Unlock()
+	t.mu.Lock()
+	t.procs[pid] = name
+	t.mu.Unlock()
 }
 
 // NameThread assigns a display name to the (pid, tid) track.
@@ -112,9 +74,9 @@ func (t *TraceBuffer) NameThread(pid, tid uint32, name string) {
 	if t == nil {
 		return
 	}
-	t.shared.mu.Lock()
-	t.shared.threads[uint64(pid)<<32|uint64(tid)] = name
-	t.shared.mu.Unlock()
+	t.mu.Lock()
+	t.threads[uint64(pid)<<32|uint64(tid)] = name
+	t.mu.Unlock()
 }
 
 // Instant records a point event at the current simulated time.
@@ -151,35 +113,12 @@ func (t *TraceBuffer) Span(pid, tid uint32, cat, name string) func() {
 	return func() { t.Complete(pid, tid, cat, name, start, t.eng.Now().Sub(start), "") }
 }
 
-// Len reports the number of recorded events across all segments.
+// Len reports the number of recorded events.
 func (t *TraceBuffer) Len() int {
 	if t == nil {
 		return 0
 	}
-	n := 0
-	for _, s := range t.shared.segs {
-		n += len(s.events)
-	}
-	return n
-}
-
-// merged returns the logical trace's events in canonical export order.
-// A single-segment trace keeps exact emission order (the historical
-// output); multi-segment traces are merged by a stable sort on
-// timestamp, so equal-timestamp events order by (segment, emission) —
-// a rule independent of goroutine scheduling, which is what makes
-// sharded exports byte-identical to sequential ones.
-func (t *TraceBuffer) merged() []traceEvent {
-	segs := t.shared.segs
-	if len(segs) == 1 {
-		return t.events
-	}
-	var out []traceEvent
-	for _, s := range segs {
-		out = append(out, s.events...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].ts < out[j].ts })
-	return out
+	return len(t.events)
 }
 
 // jsonEvent is the trace-event wire format.
@@ -210,7 +149,7 @@ func usec(ps int64) float64 { return float64(ps) / 1e6 }
 func (t *TraceBuffer) WriteJSON(w io.Writer) error {
 	out := jsonTrace{TraceEvents: []jsonEvent{}, DisplayTimeUnit: "ns"}
 	if t != nil {
-		procs, threads := t.shared.procs, t.shared.threads
+		procs, threads := t.procs, t.threads
 		pids := make([]uint32, 0, len(procs))
 		for pid := range procs {
 			pids = append(pids, pid)
@@ -233,7 +172,7 @@ func (t *TraceBuffer) WriteJSON(w io.Writer) error {
 				Args: map[string]string{"name": threads[key]},
 			})
 		}
-		for _, ev := range t.merged() {
+		for _, ev := range t.events {
 			je := jsonEvent{
 				Name: ev.name, Cat: ev.cat, Ph: string(ev.ph),
 				Ts: usec(int64(ev.ts)), Pid: ev.pid, Tid: ev.tid,
@@ -266,7 +205,7 @@ func (t *TraceBuffer) Render(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	for _, ev := range t.merged() {
+	for _, ev := range t.events {
 		track := t.trackName(ev.pid, ev.tid)
 		var err error
 		switch ev.ph {
@@ -292,11 +231,11 @@ func (t *TraceBuffer) Render(w io.Writer) error {
 
 // trackName renders the display name of a (pid, tid) track.
 func (t *TraceBuffer) trackName(pid, tid uint32) string {
-	proc, ok := t.shared.procs[pid]
+	proc, ok := t.procs[pid]
 	if !ok {
 		proc = fmt.Sprintf("pid%d", pid)
 	}
-	if th, ok := t.shared.threads[uint64(pid)<<32|uint64(tid)]; ok {
+	if th, ok := t.threads[uint64(pid)<<32|uint64(tid)]; ok {
 		return proc + "/" + th
 	}
 	return fmt.Sprintf("%s/%d", proc, tid)

@@ -18,22 +18,14 @@ import (
 )
 
 // Pair is the two-machine testbed. QP 1 on A is connected to QP 2 on B,
-// and each machine has one registered buffer.
-//
-// A Pair is either unsharded — everything on one engine, the historical
-// testbed — or sharded (NewSharded): machine A's components on shard 0,
-// machine B's on shard 1 of a two-shard sim.ShardGroup whose lookahead
-// is the cable's propagation delay. Workloads always drive the A side
-// from Eng; B-side state may be touched during setup and after Run
-// returns, but mid-run only from events on EngB.
+// and each machine has one registered buffer. Both machines, the cable
+// and every process driving them share one engine.
 type Pair struct {
-	Eng   *sim.Engine     // machine A's engine (the whole testbed when unsharded)
-	EngB  *sim.Engine     // machine B's engine; == Eng unless sharded
-	Group *sim.ShardGroup // non-nil when the testbed is sharded
-	A, B  *core.NIC
-	Link  *fabric.Link
-	BufA  *hostmem.Buffer
-	BufB  *hostmem.Buffer
+	Eng  *sim.Engine
+	A, B *core.NIC
+	Link *fabric.Link
+	BufA *hostmem.Buffer
+	BufB *hostmem.Buffer
 }
 
 // QPA and QPB are the pre-created queue pair numbers on A and B.
@@ -46,28 +38,11 @@ const (
 // 100 G), linkCfg the cable, bufSize the per-machine registered buffer.
 func New(seed int64, cfg core.Config, linkCfg fabric.LinkConfig, bufSize int) (*Pair, error) {
 	eng := sim.NewEngine(seed)
-	return build(eng, eng, nil, cfg, linkCfg, bufSize)
-}
-
-// NewSharded builds the testbed with each machine on its own shard of a
-// two-shard group, executed by up to workers goroutines (1 = sequential
-// execution of the same sharded structure; results are byte-identical
-// for every worker count). The cable's propagation delay is the
-// conservative lookahead: no frame crosses machines faster than that.
-func NewSharded(seed int64, cfg core.Config, linkCfg fabric.LinkConfig, bufSize, workers int) (*Pair, error) {
-	group := sim.NewShardGroup(seed, 2, linkCfg.Propagation)
-	group.SetWorkers(workers)
-	return build(group.Shard(0), group.Shard(1), group, cfg, linkCfg, bufSize)
-}
-
-// build assembles the testbed on the given engines (equal when
-// unsharded).
-func build(engA, engB *sim.Engine, group *sim.ShardGroup, cfg core.Config, linkCfg fabric.LinkConfig, bufSize int) (*Pair, error) {
 	idA := roce.Identity{MAC: packet.MAC{2, 0, 0, 0, 0, 1}, IP: packet.AddrOf(10, 0, 0, 1)}
 	idB := roce.Identity{MAC: packet.MAC{2, 0, 0, 0, 0, 2}, IP: packet.AddrOf(10, 0, 0, 2)}
-	a := core.NewNIC(engA, cfg, idA)
-	b := core.NewNIC(engB, cfg, idB)
-	link := fabric.NewLinkOn(engA, engB, linkCfg, a, b)
+	a := core.NewNIC(eng, cfg, idA)
+	b := core.NewNIC(eng, cfg, idB)
+	link := fabric.NewLink(eng, linkCfg, a, b)
 	a.SetTransmit(link.SendFromA)
 	b.SetTransmit(link.SendFromB)
 	if err := a.CreateQP(QPA, idB, QPB); err != nil {
@@ -84,17 +59,12 @@ func build(engA, engB *sim.Engine, group *sim.ShardGroup, cfg core.Config, linkC
 	if err != nil {
 		return nil, fmt.Errorf("testrig: %w", err)
 	}
-	return &Pair{Eng: engA, EngB: engB, Group: group, A: a, B: b, Link: link, BufA: bufA, BufB: bufB}, nil
+	return &Pair{Eng: eng, A: a, B: b, Link: link, BufA: bufA, BufB: bufB}, nil
 }
 
 // Run executes the testbed to completion and returns the final simulated
-// time: the shard group when sharded, the single engine otherwise.
-func (p *Pair) Run() sim.Time {
-	if p.Group != nil {
-		return p.Group.Run()
-	}
-	return p.Eng.Run()
-}
+// time.
+func (p *Pair) Run() sim.Time { return p.Eng.Run() }
 
 // Trace process (pid) layout of the instrumented testbed.
 const (
@@ -117,10 +87,7 @@ func (p *Pair) Instrument() *Telemetry {
 	reg := telemetry.NewRegistry()
 	tb := telemetry.NewTrace(p.Eng)
 	p.A.AttachTelemetry(reg, tb, PidA, "A")
-	// Machine B records into its own trace segment when sharded
-	// (ForEngine is the identity on an unsharded pair); the link binds
-	// its two directions to their sending shards' segments itself.
-	p.B.AttachTelemetry(reg, tb.ForEngine(p.EngB), PidB, "B")
+	p.B.AttachTelemetry(reg, tb, PidB, "B")
 	p.Link.AttachTelemetry(reg, tb, PidLink)
 	return &Telemetry{Registry: reg, Trace: tb}
 }
@@ -134,50 +101,28 @@ func (p *Pair) StartProbes(tel *Telemetry, every sim.Duration) {
 	if tel == nil {
 		return
 	}
-	if p.Group == nil {
-		// Historical single-probe path, byte-identical to previous
-		// releases: one event samples both machines.
-		telemetry.Probe(p.Eng, every, func(sim.Time) {
-			p.A.TelemetrySample()
-			p.B.TelemetrySample()
-			aToB, bToA := p.Link.Utilisations()
-			tel.Registry.Histogram("link_utilisation_samples", "fraction",
-				telemetry.L("dir", "a-to-b")).ObserveInt(int64(aToB * 100))
-			tel.Registry.Histogram("link_utilisation_samples", "fraction",
-				telemetry.L("dir", "b-to-a")).ObserveInt(int64(bToA * 100))
-		})
-		return
-	}
-	// Sharded: one probe per shard, each sampling only the signals its
-	// shard owns (the single-writer-per-handle telemetry contract).
 	telemetry.Probe(p.Eng, every, func(sim.Time) {
 		p.A.TelemetrySample()
-		tel.Registry.Histogram("link_utilisation_samples", "fraction",
-			telemetry.L("dir", "a-to-b")).ObserveInt(int64(p.Link.UtilisationAtoB() * 100))
-	})
-	telemetry.Probe(p.EngB, every, func(sim.Time) {
 		p.B.TelemetrySample()
+		aToB, bToA := p.Link.Utilisations()
 		tel.Registry.Histogram("link_utilisation_samples", "fraction",
-			telemetry.L("dir", "b-to-a")).ObserveInt(int64(p.Link.UtilisationBtoA() * 100))
+			telemetry.L("dir", "a-to-b")).ObserveInt(int64(aToB * 100))
+		tel.Registry.Histogram("link_utilisation_samples", "fraction",
+			telemetry.L("dir", "b-to-a")).ObserveInt(int64(bToA * 100))
 	})
 }
 
 // RecordJSONL registers the testbed's health surfaces with a JSONL
-// recorder: NIC A and the a→b link direction on machine A's engine, NIC
-// B and the b→a direction on machine B's (the shard that owns each
-// surface scrapes it). On an unsharded pair tel's registry is scraped
-// too — one "metrics" event per subsystem per interval. A sharded pair
-// exports health events only: the registry's collect callbacks span
-// both shards, so scraping it mid-run from one shard would race (the
-// end-of-run registry export is Registry.WriteJSON's job there). Pass
-// tel nil to skip registry export entirely. Call before the workload is
-// scheduled, then rec.Start after, mirroring StartProbes.
+// recorder — NIC A, the a→b link direction, NIC B and the b→a direction,
+// in that order — and, when tel is non-nil, tel's registry too (one
+// "metrics" event per subsystem per interval). Call before the workload
+// is scheduled, then rec.Start after, mirroring StartProbes.
 func (p *Pair) RecordJSONL(rec *export.Recorder, tel *Telemetry) {
 	rec.Source(p.Eng, "A", "port", "nic:A", p.A.Health)
 	rec.Source(p.Eng, "fabric", "link", "a-to-b", p.Link.HealthAtoB)
-	rec.Source(p.EngB, "B", "port", "nic:B", p.B.Health)
-	rec.Source(p.EngB, "fabric", "link", "b-to-a", p.Link.HealthBtoA)
-	if tel != nil && p.Group == nil {
+	rec.Source(p.Eng, "B", "port", "nic:B", p.B.Health)
+	rec.Source(p.Eng, "fabric", "link", "b-to-a", p.Link.HealthBtoA)
+	if tel != nil {
 		rec.Registry(p.Eng, "testbed", tel.Registry)
 	}
 }
@@ -190,10 +135,10 @@ func (p *Pair) RecordJSONL(rec *export.Recorder, tel *Telemetry) {
 // command either NIC issues. Call the checkers' Finish after the run to
 // collect violations.
 func (p *Pair) ApplyChaos(plan chaos.Plan) (*chaos.Injector, *chaos.Checker, *chaos.Checker) {
-	inj := chaos.NewOn(p.Eng, p.EngB, plan)
+	inj := chaos.New(p.Eng, plan)
 	inj.Apply(p.Link, p.A.DMA(), p.B.DMA())
 	ca := chaos.AttachChecker(p.A.Stack(), "A", p.Eng)
-	cb := chaos.AttachChecker(p.B.Stack(), "B", p.EngB)
+	cb := chaos.AttachChecker(p.B.Stack(), "B", p.Eng)
 	p.A.SetDMAObserver(ca.DMAGuard(p.A.MRTable()))
 	p.B.SetDMAObserver(cb.DMAGuard(p.B.MRTable()))
 	return inj, ca, cb

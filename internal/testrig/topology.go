@@ -14,17 +14,10 @@ import (
 )
 
 // Net is the switched multi-machine testbed: N machines hanging off the
-// ports of one shared-buffer switch. It generalises Pair past two
-// machines (the ">2 shards" step of the roadmap).
-//
-// Unsharded (NewNet) everything lives on one engine. Sharded
-// (NewNetSharded) each machine owns shard i and the switch owns shard N
-// of an (N+1)-shard group whose lookahead is the cable propagation
-// delay; each NIC↔switch link additionally declares its own per-link
-// lookahead bound (sim.ShardGroup.SetLinkLookahead).
+// ports of one shared-buffer switch, all on one engine. It generalises
+// Pair past two machines.
 type Net struct {
-	Group    *sim.ShardGroup // nil when unsharded
-	SwEng    *sim.Engine     // the switch's engine (own shard when sharded)
+	SwEng    *sim.Engine // the testbed's engine (every machine shares it)
 	Sw       *fabric.Switch
 	Machines []*NetMachine
 }
@@ -32,7 +25,7 @@ type Net struct {
 // NetMachine is one machine of the switched testbed.
 type NetMachine struct {
 	Index int
-	Eng   *sim.Engine
+	Eng   *sim.Engine // the testbed's one shared engine (== Net.SwEng)
 	NIC   *core.NIC
 	Port  *fabric.Port // NIC-side switch attachment (PFC pause state)
 	Buf   *hostmem.Buffer
@@ -40,56 +33,18 @@ type NetMachine struct {
 	nextQPN uint32
 }
 
-// NewNet builds an unsharded switched testbed with n machines.
+// NewNet builds a switched testbed with n machines on one engine.
 func NewNet(seed int64, n int, cfg core.Config, swCfg fabric.SwitchConfig, bufBytes int) (*Net, error) {
 	eng := sim.NewEngine(seed)
-	engs := make([]*sim.Engine, n)
-	for i := range engs {
-		engs[i] = eng
-	}
-	return buildNet(engs, eng, nil, cfg, swCfg, bufBytes)
-}
-
-// NewNetSharded builds the same topology with machine i on shard i and
-// the switch on shard n, executed by up to workers goroutines. Results
-// are byte-identical for every worker count.
-func NewNetSharded(seed int64, n int, cfg core.Config, swCfg fabric.SwitchConfig, bufBytes, workers int) (*Net, error) {
-	if swCfg.Link.Propagation <= 0 {
-		return nil, fmt.Errorf("testrig: sharded net needs positive propagation delay")
-	}
-	group := sim.NewShardGroup(seed, n+1, swCfg.Link.Propagation)
-	group.SetWorkers(workers)
-	engs := make([]*sim.Engine, n)
-	for i := range engs {
-		engs[i] = group.Shard(i)
-	}
-	swEng := group.Shard(n)
-	net, err := buildNet(engs, swEng, group, cfg, swCfg, bufBytes)
-	if err != nil {
-		return nil, err
-	}
-	// Declare each link's own lookahead: NIC→switch frames take at least
-	// propagation + forwarding, switch→NIC (data and PFC control frames)
-	// at least propagation. The barrier validates every cross event
-	// against these tighter per-link bounds.
-	for _, m := range net.Machines {
-		group.SetLinkLookahead(m.Eng, swEng, swCfg.Link.Propagation+swCfg.Forwarding)
-		group.SetLinkLookahead(swEng, m.Eng, swCfg.Link.Propagation)
-	}
-	return net, nil
-}
-
-// buildNet assembles machines and switch on the given engines.
-func buildNet(engs []*sim.Engine, swEng *sim.Engine, group *sim.ShardGroup, cfg core.Config, swCfg fabric.SwitchConfig, bufBytes int) (*Net, error) {
-	sw := fabric.NewSwitchCfg(swEng, swCfg)
-	net := &Net{Group: group, SwEng: swEng, Sw: sw}
-	for i, eng := range engs {
+	sw := fabric.NewSwitchCfg(eng, swCfg)
+	net := &Net{SwEng: eng, Sw: sw}
+	for i := 0; i < n; i++ {
 		id := roce.Identity{
 			MAC: packet.MAC{2, 0, 0, 0, 0, byte(i + 1)},
 			IP:  packet.AddrOf(10, 0, 0, byte(i+1)),
 		}
 		nic := core.NewNIC(eng, cfg, id)
-		port := sw.AttachPortOn(eng, id.MAC, nic)
+		port := sw.AttachPort(id.MAC, nic)
 		nic.SetTransmit(port.Send)
 		buf, err := nic.AllocBuffer(bufBytes)
 		if err != nil {
@@ -162,9 +117,7 @@ func (n *Net) AttachCheckers() []*chaos.Checker {
 }
 
 // RecordJSONL registers every health surface with a JSONL recorder:
-// each machine's NIC and NIC-side switch port on that machine's engine,
-// and every switch port on the switch's engine (the shard that owns
-// each surface scrapes it).
+// each machine's NIC and NIC-side switch port, then every switch port.
 func (n *Net) RecordJSONL(rec *export.Recorder) {
 	for i, m := range n.Machines {
 		host := fmt.Sprintf("m%d", i)
@@ -178,9 +131,4 @@ func (n *Net) RecordJSONL(rec *export.Recorder) {
 
 // Run executes the testbed to completion and returns the final
 // simulated time.
-func (n *Net) Run() sim.Time {
-	if n.Group != nil {
-		return n.Group.Run()
-	}
-	return n.SwEng.Run()
-}
+func (n *Net) Run() sim.Time { return n.SwEng.Run() }
