@@ -116,15 +116,15 @@ soak:
 	$(GO) run ./cmd/strombench -quick -kvlarge -jsonl SOAK_kvlarge.jsonl > /dev/null
 	$(GO) run ./cmd/stromtail -allow 'out-discards|retry-storm|kv-heartbeat|torn-read|qp-errors|remote-access|watchdog|pfc-pause|ecn-marked|op-latency-p99|fcs-err' -require 'torn-read|kv-heartbeat' SOAK_kvlarge.jsonl
 
-# bench runs the microbenchmarks (macro benches plus the scheduler,
-# telemetry, packet and roce hot paths), then records bench snapshots:
-# BENCH_quick.json (quick suite — the bench-diff gate) and
+# bench runs the microbenchmarks (macro benches plus the scheduler and
+# process, telemetry, packet, crc and roce hot paths), then records
+# bench snapshots: BENCH_quick.json (quick suite — the bench-diff gate) and
 # BENCH_pr6.json (default suite — the committed per-PR trajectory).
 # Snapshot wall times are host dependent; figure values are
 # deterministic.
 BENCHNOTE = figure values are deterministic at seed 1; wall_ms series depend on the host (see gomaxprocs/num_cpu)
 bench:
-	$(GO) test -bench=. -benchmem . ./internal/sim ./internal/telemetry ./internal/packet ./internal/roce
+	$(GO) test -bench=. -benchmem . ./internal/sim ./internal/telemetry ./internal/packet ./internal/crc ./internal/roce
 	$(GO) run ./cmd/strombench -quick -bench BENCH_quick.json -benchnote "$(BENCHNOTE)" > /dev/null
 	$(GO) run ./cmd/strombench -bench BENCH_pr6.json -benchnote "$(BENCHNOTE)" > /dev/null
 	$(GO) run ./cmd/strombench -quick -chaos chaos-recovery > /dev/null

@@ -35,9 +35,14 @@ func TestChecksum64Property(t *testing.T) {
 	}
 }
 
+// TestChecksum32MatchesStdlib checks Checksum32 against the in-tree
+// bitwise reference (Checksum32 itself calls hash/crc32) and the generic
+// table walk against the standard library.
 func TestChecksum32MatchesStdlib(t *testing.T) {
+	generic := MakeTable32(Poly32)
 	f := func(data []byte) bool {
-		return Checksum32(data) == crc32.ChecksumIEEE(data)
+		return Checksum32(data) == bitwise32(Poly32, data) &&
+			Update32(0, generic, data) == crc32.ChecksumIEEE(data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -36,13 +36,13 @@ func bitwise32(poly uint32, data []byte) uint32 {
 	return ^crc
 }
 
-// FuzzCRCSlicingEquivalence pins the three CRC implementations to each
-// other on arbitrary input: the bitwise reference, the byte-at-a-time
-// table walk (Update with a freshly built table, which cannot take the
-// slicing path), and the slicing-by-8 fast path behind Checksum64/32.
-// Streaming in two chunks at every split point must also agree —
-// slicing-by-8 handles the sub-8-byte head and tail separately, so
-// splits are where an indexing bug would hide.
+// FuzzCRCSlicingEquivalence pins the CRC implementations to each other
+// on arbitrary input: the bitwise reference, the byte-at-a-time table
+// walk (Update with a freshly built table, which cannot take a fast
+// path), the slicing-by-8 fast path behind Checksum64 and the hash/crc32
+// path behind Checksum32. Streaming in two chunks at every split point
+// must also agree — slicing-by-8 handles the sub-8-byte head and tail
+// separately, so splits are where an indexing bug would hide.
 func FuzzCRCSlicingEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -65,15 +65,15 @@ func FuzzCRCSlicingEquivalence(f *testing.F) {
 		}
 		want32 := bitwise32(Poly32, data)
 		if got := Checksum32(data); got != want32 {
-			t.Fatalf("Checksum32 (slicing) = %#x, bitwise reference = %#x", got, want32)
+			t.Fatalf("Checksum32 (hash/crc32) = %#x, bitwise reference = %#x", got, want32)
 		}
 		if got := Update32(0, genericTab32, data); got != want32 {
 			t.Fatalf("Update32 (generic table) = %#x, bitwise reference = %#x", got, want32)
 		}
 		// Streaming equivalence across split points, via the Digest64
-		// wrapper (which stays on the slicing path across the boundary).
-		// Exhaustive on short inputs; spot-checked on long ones to keep
-		// the fuzz loop fast.
+		// wrapper (which stays on the slicing path across the boundary)
+		// and Update32 on the package IEEE table. Exhaustive on short
+		// inputs; spot-checked on long ones to keep the fuzz loop fast.
 		splits := len(data)
 		if splits > 128 {
 			splits = 128
@@ -84,6 +84,9 @@ func FuzzCRCSlicingEquivalence(f *testing.F) {
 			d.Write(data[k:])
 			if d.Sum64() != want64 {
 				t.Fatalf("Digest64 split at %d = %#x, want %#x", k, d.Sum64(), want64)
+			}
+			if got := Update32(Update32(0, ieeeTable, data[:k]), ieeeTable, data[k:]); got != want32 {
+				t.Fatalf("Update32 split at %d = %#x, want %#x", k, got, want32)
 			}
 		}
 		for k := 0; k <= splits; k++ {

@@ -39,10 +39,27 @@ func BenchmarkSerializerReserve(b *testing.B) {
 }
 
 func BenchmarkProcessSwitch(b *testing.B) {
+	b.ReportAllocs()
 	e := NewEngine(1)
 	e.Go("p", func(p *Process) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(Nanosecond)
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkCompletionWait measures one Completion wait: a process blocks
+// on a fresh completion that an event resolves a nanosecond later.
+func BenchmarkCompletionWait(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(1)
+	e.Go("p", func(p *Process) {
+		for i := 0; i < b.N; i++ {
+			c := &Completion[int]{}
+			e.Schedule(Nanosecond, func() { c.Complete(i) })
+			c.Wait(p)
 		}
 	})
 	b.ResetTimer()

@@ -1,38 +1,55 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Process is a coroutine-style simulated thread of control. Application
-// code (host software in the simulated machines) is most naturally written
-// as straight-line code that sleeps and waits; Process provides that on
-// top of the event loop.
+// Process is a simulated thread of control. Application code (host
+// software in the simulated machines) is most naturally written as
+// straight-line code that sleeps and waits; Process provides that on top
+// of the event loop.
 //
-// Exactly one goroutine — either the engine or a single process — runs at
-// any time, handed off through unbuffered channels, so simulations remain
-// deterministic despite using goroutines.
+// Each process body runs as a runtime coroutine (iter.Pull): the engine
+// resumes it by calling the coroutine's next function from an event, and
+// the process parks by yielding back. Control moves directly between the
+// engine and the one running process, never through the Go scheduler, so
+// exactly one of them runs at any time and simulations stay
+// deterministic. A panic inside a process unwinds through Engine.Run to
+// its caller.
 type Process struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	yield  chan struct{}
-	done   bool
+	eng   *Engine
+	name  string
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	done  bool
+
+	// Cached event callbacks, so Sleep and wake schedule without
+	// allocating a closure per call.
+	stepFn func()
+	wakeFn func()
+
+	// waitGen numbers the process's waits on a Signal, Mailbox or
+	// Completion. A process is blocked at no more than one point at a
+	// time, so the number of the current wait is all the state a wait
+	// needs; the fire callback of an ended wait finds a different number
+	// and does nothing.
+	waitGen uint64
 }
 
 // Go starts fn as a new simulated process at the current time.
 func (e *Engine) Go(name string, fn func(p *Process)) *Process {
-	p := &Process{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-	go func() {
-		<-p.resume
+	p := &Process{eng: e, name: name}
+	p.stepFn = func() { e.step(p) }
+	p.wakeFn = p.wake
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		fn(p)
 		p.done = true
-		p.yield <- struct{}{}
-	}()
-	e.Schedule(0, func() { e.step(p) })
+	})
+	e.Schedule(0, p.stepFn)
 	return p
 }
 
@@ -40,21 +57,19 @@ func (e *Engine) Go(name string, fn func(p *Process)) *Process {
 func (e *Engine) step(p *Process) {
 	prev := e.running
 	e.running = p
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
 	e.running = prev
 }
 
 // park yields control back to the engine; the process stays blocked until
 // some event calls wake.
 func (p *Process) park() {
-	p.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 }
 
 // wake schedules the process to continue at the current simulated time.
 func (p *Process) wake() {
-	p.eng.Schedule(0, func() { p.eng.step(p) })
+	p.eng.Schedule(0, p.stepFn)
 }
 
 // Engine returns the engine this process runs on.
@@ -74,28 +89,24 @@ func (p *Process) Sleep(d Duration) {
 	if p.eng.running != p {
 		panic("sim: Sleep called from outside the running process")
 	}
-	p.eng.Schedule(d, p.wake)
+	p.eng.Schedule(d, p.wakeFn)
 	p.park()
 }
 
-// WaitEvent blocks until fired is called exactly once by some event
-// callback. It returns a function to pass to that callback.
-func (p *Process) waitPoint() (block func(), fire func()) {
-	armed := false
-	fired := false
-	return func() {
-			if fired {
-				return
-			}
-			armed = true
-			p.park()
-		}, func() {
-			fired = true
-			if armed {
-				armed = false
-				p.wake()
-			}
-		}
+// waitFire opens a new wait and returns the callback that ends it. The
+// caller registers the callback with whatever will fire it, then parks.
+func (p *Process) waitFire() func() {
+	p.waitGen++
+	gen := p.waitGen
+	return func() { p.fire(gen) }
+}
+
+// fire ends wait gen and wakes the process, unless that wait has ended.
+func (p *Process) fire(gen uint64) {
+	if gen == p.waitGen {
+		p.waitGen++
+		p.wake()
+	}
 }
 
 // Signal is a broadcast wake-up point for processes.
@@ -105,9 +116,8 @@ type Signal struct {
 
 // Wait blocks p until the next Broadcast.
 func (s *Signal) Wait(p *Process) {
-	block, fire := p.waitPoint()
-	s.waiters = append(s.waiters, fire)
-	block()
+	s.waiters = append(s.waiters, p.waitFire())
+	p.park()
 }
 
 // Broadcast wakes every currently waiting process.
@@ -143,9 +153,8 @@ func (m *Mailbox[T]) Send(v T) {
 // Recv blocks p until an item is available and returns it.
 func (m *Mailbox[T]) Recv(p *Process) T {
 	for len(m.items) == 0 {
-		block, fire := p.waitPoint()
-		m.waiters = append(m.waiters, fire)
-		block()
+		m.waiters = append(m.waiters, p.waitFire())
+		p.park()
 	}
 	v := m.items[0]
 	m.items = m.items[1:]
@@ -205,9 +214,8 @@ func (c *Completion[T]) IsDone() bool { return c.done }
 // Wait blocks p until the completion resolves and returns its result.
 func (c *Completion[T]) Wait(p *Process) (T, error) {
 	if !c.done {
-		block, fire := p.waitPoint()
-		c.fires = append(c.fires, fire)
-		block()
+		c.fires = append(c.fires, p.waitFire())
+		p.park()
 	}
 	return c.val, c.err
 }

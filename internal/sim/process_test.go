@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestProcessSleep(t *testing.T) {
 	e := NewEngine(1)
@@ -198,6 +201,151 @@ func TestCompletionOnDone(t *testing.T) {
 	c.OnDone(func(v int, err error) { got = v })
 	if got != 5 {
 		t.Errorf("got = %d", got)
+	}
+}
+
+// TestSleepDoesNotAllocate guards the cached wake and step callbacks: a
+// process sleeping in a loop costs no allocation per Sleep.
+func TestSleepDoesNotAllocate(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("sleeper", func(p *Process) {
+		for {
+			p.Sleep(Nanosecond)
+		}
+	})
+	e.RunUntil(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		e.RunUntil(e.Now().Add(Nanosecond))
+	})
+	if allocs != 0 {
+		t.Errorf("Sleep allocates %v times, want 0", allocs)
+	}
+}
+
+// TestCompletionWaitAllocs bounds one Completion wait: the wait state
+// lives on the Process, so only the registered fire callback and the
+// completion's one-entry callback list allocate.
+func TestCompletionWaitAllocs(t *testing.T) {
+	e := NewEngine(1)
+	c := &Completion[int]{}
+	e.Go("waiter", func(p *Process) {
+		for {
+			p.Sleep(Nanosecond)
+			c.Wait(p)
+		}
+	})
+	e.RunUntil(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		*c = Completion[int]{}
+		e.RunUntil(e.Now().Add(Nanosecond)) // wakes and blocks on c
+		c.Complete(1)
+		e.RunUntil(e.Now()) // resumes and sleeps again
+	})
+	if allocs > 2 {
+		t.Errorf("Completion wait allocates %v times, want at most 2", allocs)
+	}
+}
+
+// TestStaleFireIsNoOp checks that a wait's fire callback wakes the
+// process once: calling it again, during or after a later wait, does
+// nothing.
+func TestStaleFireIsNoOp(t *testing.T) {
+	e := NewEngine(1)
+	var fires []func()
+	wakes := 0
+	p := e.Go("p", func(p *Process) {
+		for i := 0; i < 2; i++ {
+			fires = append(fires, p.waitFire())
+			p.park()
+			wakes++
+		}
+	})
+	e.Run()
+	fires[0]()
+	fires[0]()
+	e.Run()
+	if wakes != 1 {
+		t.Fatalf("wakes = %d after firing the first wait twice, want 1", wakes)
+	}
+	fires[0]()
+	e.Run()
+	if wakes != 1 || p.Done() {
+		t.Fatalf("stale fire woke the second wait: wakes = %d", wakes)
+	}
+	fires[1]()
+	e.Run()
+	if wakes != 2 || !p.Done() {
+		t.Errorf("wakes = %d, done = %v, want 2 and done", wakes, p.Done())
+	}
+}
+
+// TestProcessPanicReachesRun checks that a panic inside a process unwinds
+// through Engine.Run with its value, and that the engine can run on.
+func TestProcessPanicReachesRun(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("bad", func(p *Process) {
+		p.Sleep(Nanosecond)
+		panic("boom")
+	})
+	ranLater := false
+	e.Go("good", func(p *Process) {
+		p.Sleep(2 * Nanosecond)
+		ranLater = true
+	})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		e.Run()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v, want boom", got)
+	}
+	if e.Now() != Time(Nanosecond) {
+		t.Errorf("panic at %v, want 1ns", e.Now())
+	}
+	e.Run()
+	if !ranLater {
+		t.Error("process after the panic never ran")
+	}
+}
+
+// TestProcessParkedAcrossRuns checks that a process blocked on a
+// completion nobody resolves lets Run return, and resumes in a later Run
+// once the completion resolves.
+func TestProcessParkedAcrossRuns(t *testing.T) {
+	e := NewEngine(1)
+	c := &Completion[int]{}
+	var got int
+	p := e.Go("p", func(p *Process) { got, _ = c.Wait(p) })
+	e.Run()
+	if p.Done() || e.Pending() != 0 {
+		t.Fatalf("after first Run: done=%v pending=%d", p.Done(), e.Pending())
+	}
+	c.Complete(3)
+	e.Run()
+	if !p.Done() || got != 3 {
+		t.Errorf("after second Run: done=%v got=%d", p.Done(), got)
+	}
+}
+
+// TestGoFromProcess checks that processes started from inside a process
+// run, in the order they were started, after the starter yields.
+func TestGoFromProcess(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	e.Go("parent", func(p *Process) {
+		order = append(order, "parent0")
+		for _, name := range []string{"child1", "child2"} {
+			e.Go(name, func(q *Process) { order = append(order, q.Name()) })
+		}
+		order = append(order, "parent-started")
+		p.Sleep(0)
+		order = append(order, "parent1")
+	})
+	e.Run()
+	want := []string{"parent0", "parent-started", "child1", "child2", "parent1"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("order = %v, want %v", order, want)
 	}
 }
 
