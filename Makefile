@@ -44,8 +44,9 @@ protect:
 
 # determinism runs the byte-identity suite on its own under the race
 # detector: same-seed repeated runs and -j invariance of the figure
-# generators, the engine, the telemetry/trace/JSONL exports (clean,
-# chaos, incast, kv, kv-large) and the JSONL recorder.
+# generators, the engine, the JSONL recorder, and the metrics/trace/JSONL
+# exports of every experiments.Scenarios() entry (clean, chaos, incast,
+# kv, kvlarge — TestScenarioExportsByteIdentical).
 determinism:
 	$(GO) test -race -count=1 -run 'Determinis|ByteIdentical|IdenticalAcross' ./internal/sim ./internal/experiments ./internal/telemetry/... .
 
@@ -81,9 +82,10 @@ fuzz:
 	$(GO) test ./internal/fabric -fuzz=FuzzSwitchArbitration -fuzztime=10s
 	$(GO) test ./internal/kvserve -fuzz=FuzzExtentCodec -fuzztime=10s
 
-# soak runs the monitoring gate (DESIGN.md §14): the clean instrumented
-# scenario and the full quick chaos suite (sweeps + chaos scenario),
-# each streaming JSONL telemetry that stromtail then gates on. The
+# soak runs the monitoring gate (DESIGN.md §14): every strombench
+# -scenario (clean, chaos, incast, kv, kvlarge) under -quick — the
+# chaos, kv and kvlarge ones with their sweeps — each streaming JSONL
+# telemetry that stromtail then gates on. The
 # clean stream may only trip the loss-phase rules (out-discards,
 # fcs-err, and their per-QP retransmission view retry-storm) and must
 # trip out-discards (the 4% phase is deliberate); the chaos stream must
@@ -107,13 +109,13 @@ fuzz:
 soak:
 	$(GO) run ./cmd/strombench -quick -jsonl SOAK_clean.jsonl table1 > /dev/null
 	$(GO) run ./cmd/stromtail -allow 'out-discards|fcs-err|retry-storm' -require 'out-discards' SOAK_clean.jsonl
-	$(GO) run ./cmd/strombench -quick -chaos -jsonl SOAK_chaos.jsonl > /dev/null
+	$(GO) run ./cmd/strombench -quick -scenario chaos -jsonl SOAK_chaos.jsonl > /dev/null
 	$(GO) run ./cmd/stromtail -allow 'out-discards|fcs-err|link-flap|remote-access|qp-errors|watchdog|retry-storm' -require 'out-discards|link-flap|remote-access|qp-errors' SOAK_chaos.jsonl
-	$(GO) run ./cmd/strombench -quick -incast -jsonl SOAK_incast.jsonl table1 > /dev/null
+	$(GO) run ./cmd/strombench -quick -scenario incast -jsonl SOAK_incast.jsonl table1 > /dev/null
 	$(GO) run ./cmd/stromtail -allow 'pfc-pause|ecn-marked|out-discards|retry-storm' -require 'pfc-pause|ecn-marked' SOAK_incast.jsonl
-	$(GO) run ./cmd/strombench -quick -kv -jsonl SOAK_kv.jsonl > /dev/null
+	$(GO) run ./cmd/strombench -quick -scenario kv -jsonl SOAK_kv.jsonl > /dev/null
 	$(GO) run ./cmd/stromtail -allow 'out-discards|retry-storm|kv-heartbeat|qp-errors|remote-access|watchdog|pfc-pause|ecn-marked|op-latency-p99|fcs-err' -require 'kv-heartbeat|retry-storm' SOAK_kv.jsonl
-	$(GO) run ./cmd/strombench -quick -kvlarge -jsonl SOAK_kvlarge.jsonl > /dev/null
+	$(GO) run ./cmd/strombench -quick -scenario kvlarge -jsonl SOAK_kvlarge.jsonl > /dev/null
 	$(GO) run ./cmd/stromtail -allow 'out-discards|retry-storm|kv-heartbeat|torn-read|qp-errors|remote-access|watchdog|pfc-pause|ecn-marked|op-latency-p99|fcs-err' -require 'torn-read|kv-heartbeat' SOAK_kvlarge.jsonl
 
 # bench runs the microbenchmarks (macro benches plus the scheduler and
@@ -127,7 +129,7 @@ bench:
 	$(GO) test -bench=. -benchmem . ./internal/sim ./internal/telemetry ./internal/packet ./internal/crc ./internal/roce
 	$(GO) run ./cmd/strombench -quick -bench BENCH_quick.json -benchnote "$(BENCHNOTE)" > /dev/null
 	$(GO) run ./cmd/strombench -bench BENCH_pr6.json -benchnote "$(BENCHNOTE)" > /dev/null
-	$(GO) run ./cmd/strombench -quick -chaos chaos-recovery > /dev/null
+	$(GO) run ./cmd/strombench -quick -scenario chaos chaos-recovery > /dev/null
 
 # bench-diff reruns the quick suite and gates against the committed
 # snapshot: non-zero exit when a deterministic figure value drifted by

@@ -4,59 +4,56 @@
 // Usage:
 //
 //	strombench -list
-//	strombench [-quick|-full] [-chaos] [-incast] [-kv] [-kvlarge] [-seed N] [-j N]
+//	strombench [-quick|-full] [-scenario NAME] [-seed N] [-j N]
 //	           [-csv DIR] [-metrics FILE] [-trace FILE] [-jsonl FILE]
 //	           [-bench FILE] [-cpuprofile FILE] [-memprofile FILE] [exp ...]
 //
-// With no experiment names, everything runs in paper order followed by
-// the ablations. Experiment names are table1, table2, table3, resources,
-// fig5a...fig13b, abl-*, and chaos-*.
+// With no experiment names, the selected scenario's suite runs. Experiment
+// names are table1, table2, table3, resources, fig5a...fig13b, abl-*, and
+// chaos-*.
 //
-// -incast swaps the telemetry scenario for the switched incast storm
-// (experiments.WriteIncastTelemetryExports): four senders converge on
-// one switch port with a victim flow riding along, PFC and ECN engage,
-// and DCQCN is enabled mid-run — the scenario the pfc-pause and
-// ecn-marked alert rules are proven against.
+// -scenario picks one entry of experiments.Scenarios(): the suite that
+// runs when no names are given, and the instrumented run that
+// -metrics/-trace/-jsonl export. Each scenario runs on its own engine
+// seeded from -seed, so its exports are byte-identical at every -j value.
 //
-// -kv selects the replicated-KV robustness gate: with no names it runs
-// the chaos-kv sweep (sharded primary-backup KV cluster under loss,
-// crash cycles and an incast storm, failing on any exactly-once
-// violation), and -metrics/-trace/-jsonl export the storm-regime KV
-// scenario — the stream the kv-heartbeat failure detector and the
-// retry-storm rule are proven against.
-//
-// -kvlarge selects the large-value torn-read gate: with no names it runs
-// the chaos-kv-large sweep (out-of-line CRC-guarded extents under a
-// racing overwriter, bursty loss and crash cycles, failing on any torn
-// value served), and -metrics/-trace/-jsonl export the full-fault
-// regime — the stream the torn-read rate rule is proven against.
-//
-// -chaos selects the fault-injection suite instead: with no names it
-// runs the chaos generators (bursty loss and link-flap sweeps, plus the
-// chaos-recovery crash/restart sweep, each with the protocol invariant
-// checker attached), and -metrics/-trace export the chaos scenario
-// (experiments.WriteChaosTelemetry) instead of the clean one. Chaos runs
-// are driven entirely off the engine RNG, so re-running with the same
-// -seed replays the identical fault schedule — including the recovery
-// sweep's crash times, verb deadlines and reconnect backoff jitter.
+//   - clean (the default) runs every figure in paper order followed by
+//     the ablations, and exports one-sided verbs, kernel GETs and a 4%
+//     loss phase on the two-machine testbed.
+//   - chaos runs the fault-injection suite (bursty loss and link-flap
+//     sweeps, the crash/restart, protection, incast and KV sweeps, each
+//     with the protocol invariant checker attached), and exports every
+//     fault class at once plus a rogue requester. Chaos runs are driven
+//     entirely off the engine RNG, so re-running with the same -seed
+//     replays the identical fault schedule — including the recovery
+//     sweep's crash times, verb deadlines and reconnect backoff jitter.
+//   - incast runs the paper suite, and exports the switched incast storm:
+//     four senders converge on one switch port with a victim flow riding
+//     along, PFC and ECN engage, and DCQCN is enabled mid-run — the
+//     scenario the pfc-pause and ecn-marked alert rules are proven
+//     against.
+//   - kv runs the chaos-kv sweep (sharded primary-backup KV cluster under
+//     loss, crash cycles and an incast storm, failing on any exactly-once
+//     violation), and exports the storm regime — the stream the
+//     kv-heartbeat failure detector and the retry-storm rule are proven
+//     against.
+//   - kvlarge runs the chaos-kv-large sweep (out-of-line CRC-guarded
+//     extents under a racing overwriter, bursty loss and crash cycles,
+//     failing on any torn value served), and exports the full-fault
+//     regime — the stream the torn-read rate rule is proven against.
 //
 // Figure generators are independent simulations, so -j runs them on a
 // worker pool. Results are printed in request order and each generator
 // is a pure function of (options, seed), so stdout is byte-identical at
 // every -j value; per-experiment timing goes to stderr.
 //
-// -metrics and -trace additionally run the canonical instrumented
-// scenario (experiments.WriteTelemetry) and write its metrics registry
-// and Perfetto-compatible trace as JSON. The scenario runs on its own
-// engine seeded from -seed, so both files are byte-identical at every
-// -j value; load the trace file in ui.perfetto.dev or chrome://tracing.
-//
-// -jsonl streams the same scenario's telemetry as JSON Lines: periodic
-// health scrapes of both NIC ports and both link directions, registry
-// snapshots with deltas, and the sim-time alert engine's fire/resolve
-// events and final summaries — one envelope per line, byte-identical
-// at every -j value. Pipe the file through stromtail for a
-// rollup and the alert timeline.
+// -metrics and -trace write the scenario's metrics registry and
+// Perfetto-compatible trace as JSON; load the trace file in
+// ui.perfetto.dev or chrome://tracing. -jsonl streams the scenario's
+// telemetry as JSON Lines: periodic health scrapes of every port and
+// link, registry snapshots with deltas, and the sim-time alert engine's
+// fire/resolve events and final summaries — one envelope per line. Pipe
+// the file through stromtail for a rollup and the alert timeline.
 //
 // -bench FILE writes a bench snapshot — per-experiment wall clock plus
 // every figure value — for the committed BENCH_*.json trajectory; use
@@ -82,10 +79,7 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "reduced iteration counts (smoke test)")
 	full := flag.Bool("full", false, "paper-scale inputs (Fig. 11 runs the real 128-1024 MB)")
-	chaosSuite := flag.Bool("chaos", false, "run the fault-injection suite; -metrics/-trace export the chaos scenario")
-	incastScenario := flag.Bool("incast", false, "export the switched incast-storm scenario from -metrics/-trace/-jsonl instead of the clean one")
-	kvScenario := flag.Bool("kv", false, "run the chaos-kv sweep; -metrics/-trace/-jsonl export the replicated-KV storm scenario")
-	kvLargeScenario := flag.Bool("kvlarge", false, "run the chaos-kv-large sweep; -metrics/-trace/-jsonl export the large-value torn-read scenario")
+	scenarioName := flag.String("scenario", "clean", "instrumented scenario: its suite runs when no names are given, and -metrics/-trace/-jsonl export it ("+strings.Join(scenarioNames(), ", ")+")")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	jobs := flag.Int("j", experiments.DefaultParallelism(), "experiment generators to run in parallel")
 	list := flag.Bool("list", false, "list experiment names and exit")
@@ -139,6 +133,16 @@ func main() {
 		}()
 	}
 
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "strombench:", err)
+		exitCode = 1
+	}
+	scenario, err := lookupScenario(*scenarioName)
+	if err != nil {
+		fail(err)
+		return
+	}
+
 	if *list {
 		fmt.Println("table1 table2 table3 resources")
 		for _, g := range allGenerators() {
@@ -159,15 +163,8 @@ func main() {
 	names := flag.Args()
 	preamble := false
 	if len(names) == 0 {
-		if *kvLargeScenario {
-			names = append(names, "chaos-kv-large")
-		} else if *kvScenario {
-			names = append(names, "chaos-kv")
-		} else if *chaosSuite {
-			for _, g := range experiments.Chaos() {
-				names = append(names, g.Name)
-			}
-		} else {
+		names = scenario.Suite
+		if names == nil {
 			preamble = true // whole suite: lead with the static tables
 			for _, g := range append(experiments.Figures(), experiments.Ablations()...) {
 				names = append(names, g.Name)
@@ -175,26 +172,12 @@ func main() {
 		}
 	}
 
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "strombench:", err)
-		exitCode = 1
-	}
 	results, err := run(names, opts, *jobs, *csvDir, preamble)
 	if err != nil {
 		fail(err)
 		return
 	}
-	scenarios := 0
-	for _, b := range []bool{*chaosSuite, *incastScenario, *kvScenario, *kvLargeScenario} {
-		if b {
-			scenarios++
-		}
-	}
-	if scenarios > 1 {
-		fail(fmt.Errorf("-chaos, -incast, -kv and -kvlarge select different telemetry scenarios; pick one"))
-		return
-	}
-	if err := writeTelemetry(opts, *chaosSuite, *incastScenario, *kvScenario, *kvLargeScenario, *metricsOut, *traceOut, *jsonlOut); err != nil {
+	if err := writeTelemetry(opts, scenario, *metricsOut, *traceOut, *jsonlOut); err != nil {
 		fail(err)
 		return
 	}
@@ -240,18 +223,43 @@ func allGenerators() []experiments.Generator {
 	return append(gens, experiments.Chaos()...)
 }
 
-// writeTelemetry runs the instrumented scenario once (the chaos one when
-// chaosSuite is set, the switched incast storm when incast is set, the
-// replicated-KV storm when kv is set, the large-value torn-read regime
-// when kvLarge is set) and writes the requested exports. A no-op when no
-// export flag was given.
-func writeTelemetry(opts experiments.Options, chaosSuite, incast, kv, kvLarge bool, metricsPath, tracePath, jsonlPath string) error {
+// scenarioNames lists the -scenario values in table order.
+func scenarioNames() []string {
+	var names []string
+	for _, sc := range experiments.Scenarios() {
+		names = append(names, sc.Name)
+	}
+	return names
+}
+
+// lookupScenario resolves a -scenario value.
+func lookupScenario(name string) (experiments.Scenario, error) {
+	for _, sc := range experiments.Scenarios() {
+		if sc.Name == name {
+			return sc, nil
+		}
+	}
+	return experiments.Scenario{}, fmt.Errorf("unknown scenario %q (valid: %s)", name, strings.Join(scenarioNames(), ", "))
+}
+
+// writeTelemetry runs the scenario once and writes the requested
+// exports. A no-op when no export path was given.
+func writeTelemetry(opts experiments.Options, sc experiments.Scenario, metricsPath, tracePath, jsonlPath string) (err error) {
 	if metricsPath == "" && tracePath == "" && jsonlPath == "" {
 		return nil
 	}
-	var metricsW, traceW, jsonlW io.Writer
 	var files []*os.File
+	defer func() {
+		for _, f := range files {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+	}()
 	open := func(path string) (io.Writer, error) {
+		if path == "" {
+			return nil, nil
+		}
 		f, err := os.Create(path)
 		if err != nil {
 			return nil, err
@@ -259,42 +267,17 @@ func writeTelemetry(opts experiments.Options, chaosSuite, incast, kv, kvLarge bo
 		files = append(files, f)
 		return f, nil
 	}
-	var err error
-	if metricsPath != "" {
-		if metricsW, err = open(metricsPath); err != nil {
-			return err
-		}
+	var w experiments.Exports
+	if w.Metrics, err = open(metricsPath); err != nil {
+		return err
 	}
-	if tracePath != "" {
-		if traceW, err = open(tracePath); err != nil {
-			return err
-		}
+	if w.Trace, err = open(tracePath); err != nil {
+		return err
 	}
-	if jsonlPath != "" {
-		if jsonlW, err = open(jsonlPath); err != nil {
-			return err
-		}
+	if w.JSONL, err = open(jsonlPath); err != nil {
+		return err
 	}
-	scenario := experiments.WriteTelemetryExports
-	if chaosSuite {
-		scenario = experiments.WriteChaosTelemetryExports
-	}
-	if incast {
-		scenario = experiments.WriteIncastTelemetryExports
-	}
-	if kv {
-		scenario = experiments.WriteKVTelemetryExports
-	}
-	if kvLarge {
-		scenario = experiments.WriteKVLargeTelemetryExports
-	}
-	err = scenario(opts, metricsW, traceW, jsonlW)
-	for _, f := range files {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return sc.Export(opts, w)
 }
 
 // run resolves names into tables (rendered inline) and generators

@@ -39,6 +39,9 @@ type qpCheck struct {
 	resendSince sim.Time
 	// Lifecycle state as last announced via QPStateChange.
 	state roce.QPState
+	// Responder: fresh non-READ requests executed so far. Each one may
+	// change the memory a later duplicate READ replays from.
+	writes uint32
 }
 
 // readKey identifies one READ serving site: (QP, first response PSN).
@@ -47,10 +50,14 @@ type readKey struct {
 	psn uint32
 }
 
-// readServing pins the payload a READ was first served with.
+// readServing pins the payload a READ was first served with, and the
+// QP's responder write count when the READ executed: once that count
+// moves, the pin is retired. n is -1 until the first serving. One is
+// kept per READ for the run, so the entry stays 16 bytes.
 type readServing struct {
-	sum uint64
-	n   int
+	sum    uint64
+	n      int32
+	writes uint32
 }
 
 // Checker is a roce.Observer asserting the transport invariants of §4.1
@@ -62,10 +69,13 @@ type readServing struct {
 //     go-back-N never re-delivers a completed WQE as new.
 //  4. Duplicate-region re-execution happens only for READs (idempotent).
 //  5. Duplicate READs are served bit-identical payloads (the §4.1
-//     cache). Workloads that race writes against their own reads relax
-//     this to length-only via SetVolatileReads — the responder
-//     re-executes duplicate READs from live memory, so racing content
-//     may legitimately differ.
+//     cache) unless the responder executed a WRITE (or any other
+//     non-READ request) on the same QP since the READ: the responder
+//     re-executes duplicate READs from live memory, so a client that
+//     writes what it earlier read legitimately sees the replay serve the
+//     new bytes. The length, fixed by the request, must always match.
+//     Workloads whose writes race reads on other QPs relax the payload
+//     check to length-only via SetVolatileReads.
 //  6. Retry counts respect the RetransTimeout pacing and MaxRetries cap,
 //     and a timeout with outstanding work is followed by an actual
 //     retransmission.
@@ -197,31 +207,46 @@ func (c *Checker) RespExec(qpn uint32, psn, npsn uint32, op packet.Opcode, dup b
 	}
 	q.epsn = psnAdd(psn, npsn)
 	q.epsnSeen = true
+	if op == packet.OpReadRequest {
+		c.reads[readKey{qpn: qpn, psn: psn}] = readServing{n: -1, writes: q.writes}
+	} else {
+		q.writes++
+	}
 }
 
 // SetVolatileReads relaxes invariant 5 to length-only: the responder
-// re-executes duplicate READs against live memory, so a workload with a
-// writer racing its own reads (the KV large-value chaos regime) can
-// legitimately see a replayed READ serve different bytes — the length,
-// fixed by the request's DMA span, must still match. Single-writer
-// workloads keep the strict bit-identical check: there a divergent
-// duplicate READ can only mean responder corruption.
+// re-executes duplicate READs against live memory, so a workload whose
+// writes on one QP race reads served on another can legitimately see a
+// replayed READ serve different bytes — the length, fixed by the
+// request's DMA span, must still match. Without it, only a write on the
+// READ's own QP retires its pin.
 func (c *Checker) SetVolatileReads(v bool) { c.volatileReads = v }
 
 // RespReadData implements roce.Observer.
 func (c *Checker) RespReadData(qpn uint32, psn uint32, sum uint64, n int) {
 	k := readKey{qpn: qpn, psn: psn}
-	if prev, ok := c.reads[k]; ok {
-		if prev.n != n {
+	writes := c.qp(qpn).writes
+	prev, ok := c.reads[k]
+	if ok && prev.n >= 0 {
+		if int(prev.n) != n {
 			c.violate("qp %d: duplicate READ at PSN %d served a different length (%dB, was %dB)",
 				qpn, psn, n, prev.n)
-		} else if prev.sum != sum && !c.volatileReads {
-			c.violate("qp %d: duplicate READ at PSN %d served a different payload (crc %#x/%dB, was %#x/%dB)",
-				qpn, psn, sum, n, prev.sum, prev.n)
+			return
 		}
-		return
+		if prev.writes == writes {
+			if prev.sum != sum && !c.volatileReads {
+				c.violate("qp %d: duplicate READ at PSN %d served a different payload (crc %#x/%dB, was %#x/%dB)",
+					qpn, psn, sum, n, prev.sum, prev.n)
+			}
+			return
+		}
+		// A write since the pinned serving retired it: pin this one.
+	} else if ok {
+		// The first serving keeps the write count of its execution, so
+		// a write executed while its DMA read was in flight retires it.
+		writes = prev.writes
 	}
-	c.reads[k] = readServing{sum: sum, n: n}
+	c.reads[k] = readServing{sum: sum, n: int32(n), writes: writes}
 }
 
 // Timeout implements roce.Observer.

@@ -11,7 +11,8 @@ import (
 )
 
 // Unit tests for the checker's recovery invariants (invariant 8 and the
-// RESET expectation clears), driving the Observer interface directly.
+// RESET expectation clears) and invariant 5's write-retired READ pins,
+// driving the Observer interface directly.
 
 func newChecker() *chaos.Checker {
 	return chaos.NewChecker("T", sim.NewEngine(1), roce.Config10G())
@@ -100,4 +101,41 @@ func TestCheckerExactlyOnceAcrossReset(t *testing.T) {
 	}
 	c.CompletedOp(1, 1, nil)
 	assertViolation(t, c, "unknown or already-completed")
+}
+
+// TestCheckerDupReadRetiredByWrite: invariant 5 — a duplicate READ must
+// replay the pinned bytes unless the responder executed a WRITE on the
+// same QP since the READ. That write retires the pin, even one executed
+// while the READ's DMA was still in flight, and the replay becomes the
+// new pin. The length is checked regardless.
+func TestCheckerDupReadRetiredByWrite(t *testing.T) {
+	c := newChecker()
+	c.RespExec(1, 0, 1, packet.OpReadRequest, false)
+	c.RespExec(1, 1, 1, packet.OpWriteOnly, false)
+	c.RespReadData(1, 0, 0xA, 64)
+	c.RespExec(1, 0, 0, packet.OpReadRequest, true)
+	c.RespReadData(1, 0, 0xB, 64)
+	if !c.Ok() {
+		t.Fatalf("replay after a same-QP write flagged: %v", c.Violations())
+	}
+	c.RespReadData(1, 0, 0xC, 64)
+	assertViolation(t, c, "different payload")
+
+	c = newChecker()
+	c.RespExec(1, 0, 1, packet.OpReadRequest, false)
+	c.RespReadData(1, 0, 0xA, 64)
+	c.RespExec(1, 1, 1, packet.OpWriteOnly, false)
+	c.RespReadData(1, 0, 0xA, 32)
+	assertViolation(t, c, "different length")
+}
+
+// TestCheckerDupReadPinScopedToQP: a WRITE on another QP retires
+// nothing — the replay must still match the pin.
+func TestCheckerDupReadPinScopedToQP(t *testing.T) {
+	c := newChecker()
+	c.RespExec(1, 0, 1, packet.OpReadRequest, false)
+	c.RespReadData(1, 0, 0xA, 64)
+	c.RespExec(2, 0, 1, packet.OpWriteOnly, false)
+	c.RespReadData(1, 0, 0xB, 64)
+	assertViolation(t, c, "different payload")
 }

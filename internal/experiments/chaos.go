@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"strom/internal/chaos"
@@ -12,7 +11,6 @@ import (
 	"strom/internal/mr"
 	"strom/internal/sim"
 	"strom/internal/stats"
-	"strom/internal/telemetry/export"
 	"strom/internal/testrig"
 )
 
@@ -24,14 +22,15 @@ import (
 // than plotting garbage) if any transport invariant is violated.
 
 // chaosLossPoints is the loss sweep's x axis: stationary loss rate in
-// percent, up to the 4% regime WriteTelemetry already exercises.
+// percent, up to the 4% regime the clean scenario already exercises.
 var chaosLossPoints = []float64{0, 0.5, 1, 2, 4}
 
 // chaosFlapPoints is the flap sweep's x axis: outage length in µs
 // (RetransTimeout at 10 G is 500 µs, so the sweep crosses the timer).
 var chaosFlapPoints = []sim.Duration{0, 100 * sim.Microsecond, 250 * sim.Microsecond, 500 * sim.Microsecond, 1000 * sim.Microsecond}
 
-// Chaos lists the chaos suite generators (run by strombench -chaos).
+// Chaos lists the chaos suite generators (run by strombench -scenario
+// chaos).
 func Chaos() []Generator {
 	return []Generator{
 		{"chaos-loss", ChaosLossSweep},
@@ -54,24 +53,56 @@ type chaosMeasure struct {
 	violations int
 }
 
-// runChaosPoint drives the chaos workload — alternating WRITEs into the
-// first half of B's buffer and READs of a static region in the second
-// half — under the plan, with invariant checkers on both stacks.
+// rwLoad is the chaos workloads' traffic on the two-machine testbed:
+// WRITEs of xfer bytes from A's buffer into the first half of B's, each
+// followed by a READ of a static region in the second half.
+type rwLoad struct {
+	pair                  *testrig.Pair
+	xfer                  int
+	localA, writeB, readB uint64
+}
+
+// newRWLoad seeds the static region with random bytes from the engine
+// RNG.
+func newRWLoad(pair *testrig.Pair, xfer int) (rwLoad, error) {
+	l := rwLoad{
+		pair:   pair,
+		xfer:   xfer,
+		localA: uint64(pair.BufA.Base()),
+		writeB: uint64(pair.BufB.Base()),
+		readB:  uint64(pair.BufB.Base()) + uint64(pair.BufB.Size()/2),
+	}
+	static := make([]byte, xfer)
+	pair.Eng.Rand().Read(static)
+	return l, pair.B.Memory().WriteVirt(hostmem.Addr(l.readB), static)
+}
+
+// round runs one WRITE-then-READ round on the testbed QP, each verb
+// bounded by deadline when that is positive.
+func (l rwLoad) round(p *sim.Process, deadline sim.Duration) error {
+	a := l.pair.A
+	if deadline <= 0 {
+		if err := a.WriteSync(p, testrig.QPA, l.localA, l.writeB, l.xfer); err != nil {
+			return err
+		}
+		return a.ReadSync(p, testrig.QPA, l.readB, l.localA, l.xfer)
+	}
+	if err := a.WriteSyncDeadline(p, testrig.QPA, l.localA, l.writeB, l.xfer, p.Now().Add(deadline)); err != nil {
+		return err
+	}
+	return a.ReadSyncDeadline(p, testrig.QPA, l.readB, l.localA, l.xfer, p.Now().Add(deadline))
+}
+
+// runChaosPoint drives Iterations rounds of the rwLoad under the plan,
+// with invariant checkers on both stacks.
 func runChaosPoint(o Options, plan chaos.Plan) (chaosMeasure, error) {
 	pair, err := newPair(o, profile10G(), 8<<20)
 	if err != nil {
 		return chaosMeasure{}, err
 	}
 	inj, ca, cb := pair.ApplyChaos(plan)
-
-	const xfer = 32 << 10
-	localA := uint64(pair.BufA.Base())
-	writeB := uint64(pair.BufB.Base())
-	readB := pair.BufB.Base() + hostmem.Addr(pair.BufB.Size()/2)
-	static := make([]byte, xfer)
-	rng := pair.Eng.Rand()
-	rng.Read(static)
-	if err := pair.B.Memory().WriteVirt(readB, static); err != nil {
+	load, err := newRWLoad(pair, 32<<10)
+	if err != nil {
 		return chaosMeasure{}, err
 	}
 
@@ -79,10 +110,7 @@ func runChaosPoint(o Options, plan chaos.Plan) (chaosMeasure, error) {
 	var runErr error
 	pair.Eng.Go("chaos-client", func(p *sim.Process) {
 		for i := 0; i < o.Iterations; i++ {
-			if runErr = pair.A.WriteSync(p, testrig.QPA, localA, writeB, xfer); runErr != nil {
-				return
-			}
-			if runErr = pair.A.ReadSync(p, testrig.QPA, uint64(readB), localA, xfer); runErr != nil {
+			if runErr = load.round(p, 0); runErr != nil {
 				return
 			}
 		}
@@ -106,38 +134,50 @@ func runChaosPoint(o Options, plan chaos.Plan) (chaosMeasure, error) {
 	return m, nil
 }
 
-// chaosFigure renders one sweep: workload completion time plus the
-// reliability counters and the (asserted-zero) violation count.
-func chaosFigure(title, xName string) (*stats.Figure, [5]*stats.Series) {
+// sweepFigure builds a sweep figure with one series per name; add plots
+// one sweep point's values in series order.
+func sweepFigure(title, xName string, names ...string) (*stats.Figure, func(x float64, label string, vals ...float64)) {
 	fig := stats.NewFigure(title, xName, "see series")
-	var s [5]*stats.Series
-	s[0] = fig.NewSeries("completion time (us)")
-	s[1] = fig.NewSeries("retransmissions")
-	s[2] = fig.NewSeries("timeouts")
-	s[3] = fig.NewSeries("faults injected")
-	s[4] = fig.NewSeries("invariant violations")
-	return fig, s
+	series := make([]*stats.Series, len(names))
+	for i, name := range names {
+		series[i] = fig.NewSeries(name)
+	}
+	return fig, func(x float64, label string, vals ...float64) {
+		for i, v := range vals {
+			series[i].Add(x, label, v)
+		}
+	}
 }
 
-func addChaosPoint(s [5]*stats.Series, x float64, label string, m chaosMeasure) {
-	s[0].Add(x, label, m.elapsed.Microseconds())
-	s[1].Add(x, label, float64(m.retrans))
-	s[2].Add(x, label, float64(m.timeouts))
-	s[3].Add(x, label, float64(m.faults))
-	s[4].Add(x, label, float64(m.violations))
+// chaosFigure renders one loss or flap sweep: workload completion time
+// plus the reliability counters and the (asserted-zero) violation
+// count.
+func chaosFigure(title, xName string) (*stats.Figure, func(x float64, label string, m chaosMeasure)) {
+	fig, add := sweepFigure(title, xName,
+		"completion time (us)", "retransmissions", "timeouts", "faults injected", "invariant violations")
+	return fig, func(x float64, label string, m chaosMeasure) {
+		add(x, label, m.elapsed.Microseconds(), float64(m.retrans), float64(m.timeouts),
+			float64(m.faults), float64(m.violations))
+	}
 }
 
-// chaosLossPlan is the loss sweep's fault mix at one stationary loss
-// rate: bursty drops both ways plus light duplication and reordering, so
-// the NAK, timeout and duplicate-READ paths all fire.
-func chaosLossPlan(avgLoss float64) chaos.Plan {
-	faults := chaos.LinkFaults{
+// burstyFaults is the chaos suite's per-direction fault mix at one
+// stationary loss rate: Gilbert–Elliott bursty drops plus light
+// duplication and reordering, so the NAK, timeout and duplicate-READ
+// paths all fire.
+func burstyFaults(avgLoss float64) chaos.LinkFaults {
+	return chaos.LinkFaults{
 		Loss:        chaos.BurstyLoss(avgLoss),
 		DupProb:     0.01,
 		DupDelay:    2 * sim.Microsecond,
 		ReorderProb: 0.01,
 		ReorderMax:  5 * sim.Microsecond,
 	}
+}
+
+// chaosLossPlan applies burstyFaults in both directions.
+func chaosLossPlan(avgLoss float64) chaos.Plan {
+	faults := burstyFaults(avgLoss)
 	return chaos.Plan{AtoB: faults, BtoA: faults}
 }
 
@@ -146,13 +186,13 @@ func chaosLossPlan(avgLoss float64) chaos.Plan {
 // checkers must stay silent at every point.
 func ChaosLossSweep(o Options) (*stats.Figure, error) {
 	o = o.normalized()
-	fig, series := chaosFigure("Chaos: bursty loss sweep (10G, Gilbert-Elliott)", "avg loss %")
+	fig, add := chaosFigure("Chaos: bursty loss sweep (10G, Gilbert-Elliott)", "avg loss %")
 	for _, loss := range chaosLossPoints {
 		m, err := runChaosPoint(o, chaosLossPlan(loss/100))
 		if err != nil {
 			return nil, fmt.Errorf("loss %.1f%%: %w", loss, err)
 		}
-		addChaosPoint(series, loss, fmt.Sprintf("%.1f%%", loss), m)
+		add(loss, fmt.Sprintf("%.1f%%", loss), m)
 	}
 	return fig, nil
 }
@@ -179,13 +219,13 @@ func chaosFlapPlan(outage sim.Duration) chaos.Plan {
 // retransmission-timer scale, with DMA stall windows riding along.
 func ChaosFlapSweep(o Options) (*stats.Figure, error) {
 	o = o.normalized()
-	fig, series := chaosFigure("Chaos: link flap sweep (10G, outages every 2ms)", "outage us")
+	fig, add := chaosFigure("Chaos: link flap sweep (10G, outages every 2ms)", "outage us")
 	for _, outage := range chaosFlapPoints {
 		m, err := runChaosPoint(o, chaosFlapPlan(outage))
 		if err != nil {
 			return nil, fmt.Errorf("outage %v: %w", outage, err)
 		}
-		addChaosPoint(series, outage.Microseconds(), fmt.Sprintf("%.0fus", outage.Microseconds()), m)
+		add(outage.Microseconds(), fmt.Sprintf("%.0fus", outage.Microseconds()), m)
 	}
 	return fig, nil
 }
@@ -218,13 +258,9 @@ func chaosTelemetryPlan() chaos.Plan {
 	return plan
 }
 
-// WriteChaosTelemetry runs the canonical chaos scenario — the workload
-// cmd/strombench exports when -chaos is combined with -metrics/-trace —
-// and writes the metrics registry (including the chaos fault counters)
-// and the Perfetto trace as JSON. Like WriteTelemetry it runs on its own
-// engine seeded from o.Seed, so the output is byte-identical regardless
-// of -j; the invariant checkers on both stacks must stay silent or the
-// scenario fails.
+// exportChaos is the chaos scenario: the chaos plan's every fault class
+// on the two-machine testbed, instrumented like the clean scenario, with
+// the invariant checkers on both stacks required to stay silent.
 //
 // Beside the legitimate workload the scenario exercises the whole
 // memory-protection surface, so every protection counter exports with a
@@ -232,20 +268,16 @@ func chaosTelemetryPlan() chaos.Plan {
 // (roce_nak_remote_access, mr_validation_fail), and one traversal RPC is
 // sent chasing a pointer into unregistered memory so the kernel sandbox
 // fires (kernel_mr_fault).
-func WriteChaosTelemetry(o Options, metricsW, traceW io.Writer) error {
-	return WriteChaosTelemetryExports(o, metricsW, traceW, nil)
-}
-
-// WriteChaosTelemetryExports is WriteChaosTelemetry plus the streaming
-// JSONL export (see WriteTelemetryExports). On this scenario the alert
-// engine is expected to fire: the chaos plan's loss bursts and flaps
-// trip out-discards (and usually fcs-err), the rogue requester trips
-// remote-access and qp-errors, and on seeds where loss bursts, DMA
-// stalls and rogue reconnects line up the no-progress watchdog
-// legitimately fires too (the workload can stall past the 2 ms hold).
-// A monitoring consumer (make soak, stromtail) allowlists exactly
-// those rules; anything else firing is a scenario regression.
-func WriteChaosTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error {
+//
+// On this scenario the alert engine is expected to fire: the chaos
+// plan's loss bursts and flaps trip out-discards (and usually fcs-err),
+// the rogue requester trips remote-access and qp-errors, and on seeds
+// where loss bursts, DMA stalls and rogue reconnects line up the
+// no-progress watchdog legitimately fires too (the workload can stall
+// past the 2 ms hold). A monitoring consumer (make soak, stromtail)
+// allowlists exactly those rules; anything else firing is a scenario
+// regression.
+func exportChaos(o Options, w Exports) error {
 	o = o.normalized()
 	pair, err := newPair(o, profile10G(), 8<<20)
 	if err != nil {
@@ -260,58 +292,29 @@ func WriteChaosTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) e
 	if err := pair.B.DeployKernel(traversalOp, kern); err != nil {
 		return err
 	}
-	tel := pair.Instrument()
-	var rec *export.Recorder
-	if jsonlW != nil {
-		rec = export.NewRecorder(export.DefaultRules())
-		pair.RecordJSONL(rec, tel)
-	}
+	run := instrumentPair(pair, w)
 	inj, ca, cb := pair.ApplyChaos(chaosTelemetryPlan())
-	inj.AttachTelemetry(tel.Registry)
+	inj.AttachTelemetry(run.tel.Registry)
 	if err := pair.ExchangeRKeys(testrig.QPA, testrig.QPB); err != nil {
 		return err
 	}
-	if err := pair.AddQueuePair(3, 4); err != nil {
-		return err
-	}
-	rogue, err := chaos.NewRogue(pair.A, chaos.RogueConfig{
-		QPN:     3,
-		LocalVA: uint64(pair.BufA.Base()) + uint64(pair.BufA.Size()/2),
-		Target: chaos.RogueTarget{
-			Base:   uint64(pair.BufB.Base()),
-			Size:   uint64(pair.BufB.Size()),
-			Key:    func() uint32 { return pair.B.RegionFor(uint64(pair.BufB.Base())).RKey() },
-			ROBase: uint64(roBuf.Base()),
-			ROSize: uint64(roBuf.Size()),
-			ROKey:  func() uint32 { return pair.B.RegionFor(uint64(roBuf.Base())).RKey() },
-		},
+	rogue, err := pairRogue(pair, roBuf, chaos.RogueConfig{
 		Ops:        6,
 		OpDeadline: 500 * sim.Microsecond,
 		Backoff:    20 * sim.Microsecond,
-		Reconnect:  func() error { return pair.ReconnectPair(3, 4) },
-	}, nil)
+	})
 	if err != nil {
 		return err
 	}
-	rogue.Start()
-
-	const xfer = 32 << 10
-	localA := uint64(pair.BufA.Base())
-	writeB := uint64(pair.BufB.Base())
-	readB := pair.BufB.Base() + hostmem.Addr(pair.BufB.Size()/2)
-	static := make([]byte, xfer)
-	pair.Eng.Rand().Read(static)
-	if err := pair.B.Memory().WriteVirt(readB, static); err != nil {
+	load, err := newRWLoad(pair, 32<<10)
+	if err != nil {
 		return err
 	}
 
 	var runErr error
 	pair.Eng.Go("chaos-telemetry-client", func(p *sim.Process) {
-		for i := 0; i < 16 && runErr == nil; i++ {
-			if runErr = pair.A.WriteSync(p, testrig.QPA, localA, writeB, xfer); runErr != nil {
-				return
-			}
-			if runErr = pair.A.ReadSync(p, testrig.QPA, uint64(readB), localA, xfer); runErr != nil {
+		for i := 0; i < 16; i++ {
+			if runErr = load.round(p, 0); runErr != nil {
 				return
 			}
 		}
@@ -327,11 +330,7 @@ func WriteChaosTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) e
 			runErr = fmt.Errorf("sandboxed lookup: got %v, want %v", lerr, traversal.ErrFault)
 		}
 	})
-	pair.StartProbes(tel, 2*sim.Microsecond)
-	if rec != nil {
-		rec.Start(2 * sim.Microsecond)
-	}
-	pair.Run()
+	run.run()
 	if runErr == nil && rogue.Stats().Unexpected > 0 {
 		runErr = fmt.Errorf("rogue requester: %d forged requests completed (protection failed)", rogue.Stats().Unexpected)
 	}
@@ -341,20 +340,33 @@ func WriteChaosTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) e
 	if v := append(ca.Finish(), cb.Finish()...); len(v) > 0 {
 		return fmt.Errorf("chaos telemetry scenario: %d invariant violations:\n%s", len(v), strings.Join(v, "\n"))
 	}
-	if metricsW != nil {
-		if err := tel.Registry.WriteJSON(metricsW); err != nil {
-			return err
-		}
+	return run.write()
+}
+
+// pairRogue starts a rogue requester on A over an extra QP pair (3 on A,
+// 4 on B), forging accesses into B's buffer and, for permission attacks,
+// into the read-only region ro. cfg carries the attack budget and
+// pacing.
+func pairRogue(pair *testrig.Pair, ro *hostmem.Buffer, cfg chaos.RogueConfig) (*chaos.Rogue, error) {
+	const qpa, qpb = 3, 4
+	if err := pair.AddQueuePair(qpa, qpb); err != nil {
+		return nil, err
 	}
-	if traceW != nil {
-		if err := tel.Trace.WriteJSON(traceW); err != nil {
-			return err
-		}
+	cfg.QPN = qpa
+	cfg.LocalVA = uint64(pair.BufA.Base()) + uint64(pair.BufA.Size()/2)
+	cfg.Target = chaos.RogueTarget{
+		Base:   uint64(pair.BufB.Base()),
+		Size:   uint64(pair.BufB.Size()),
+		Key:    func() uint32 { return pair.B.RegionFor(uint64(pair.BufB.Base())).RKey() },
+		ROBase: uint64(ro.Base()),
+		ROSize: uint64(ro.Size()),
+		ROKey:  func() uint32 { return pair.B.RegionFor(uint64(ro.Base())).RKey() },
 	}
-	if rec != nil {
-		if err := rec.WriteJSONL(jsonlW); err != nil {
-			return err
-		}
+	cfg.Reconnect = func() error { return pair.ReconnectPair(qpa, qpb) }
+	rogue, err := chaos.NewRogue(pair.A, cfg, nil)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	rogue.Start()
+	return rogue, nil
 }

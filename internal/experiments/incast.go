@@ -2,17 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
-	"strom/internal/core"
 	"strom/internal/fabric"
 	"strom/internal/roce"
 	"strom/internal/sim"
 	"strom/internal/stats"
-	"strom/internal/telemetry"
 	"strom/internal/telemetry/export"
-	"strom/internal/testrig"
 )
 
 // The incast experiment stresses the switched fabric the paper's
@@ -68,24 +64,46 @@ func (m IncastMeasure) VictimGbps() float64 {
 }
 
 // RunIncast drives one K→1 incast with the victim flow riding along,
-// on the switched testbed, and returns the
-// measured outcome. Flow sizes scale with o.Iterations.
+// on the switched testbed, and returns the measured outcome. Flow sizes
+// scale with o.Iterations.
 func RunIncast(o Options, k int, dcqcn bool) (IncastMeasure, error) {
 	o = o.normalized()
+	return runIncast(o, incastSpec{k: k, incastWrites: 8 * o.Iterations, victimWrites: 4 * o.Iterations, dcqcn: dcqcn}, Exports{})
+}
+
+// incastSpec shapes one incast: K senders each posting incastWrites
+// writes into the receiver, and the victim flow's victimWrites. DCQCN
+// runs from the start when dcqcn is set, or is enabled on every stack
+// at dcqcnAt when that is positive.
+type incastSpec struct {
+	k                          int
+	incastWrites, victimWrites int
+	dcqcn                      bool
+	dcqcnAt                    sim.Duration
+}
+
+// runIncast drives one incast and writes the requested exports. The run
+// fails on any verb error, stalled sender, unfinished victim flow or
+// invariant violation.
+func runIncast(o Options, spec incastSpec, w Exports) (IncastMeasure, error) {
+	k := spec.k
 	n := k + 2 // senders 0..k-1, receiver k, idle victim target k+1
-	net, err := testrig.NewNet(o.Seed, n, core.Profile10G(), IncastSwitchConfig(), 1<<20)
+	run, err := newNetRun(o, n, nil, w)
 	if err != nil {
 		return IncastMeasure{}, err
 	}
-	if dcqcn {
+	net := run.Net
+	if spec.dcqcn {
 		net.EnableDCQCN(roce.DefaultDCQCN())
 	}
-	checkers := net.AttachCheckers()
+	var rec *export.Recorder
+	if w.JSONL != nil {
+		rec = export.NewRecorder(export.DefaultRules())
+		run.stream(rec)
+	}
 
 	recv, idle := k, k+1
-	incastWrites := 8 * o.Iterations
-	victimWrites := 4 * o.Iterations
-	m := IncastMeasure{VictimBytes: victimWrites * incastXfer}
+	m := IncastMeasure{VictimBytes: spec.victimWrites * incastXfer}
 
 	// Per-machine error and progress slots, read after the run.
 	errs := make([]error, n)
@@ -107,9 +125,7 @@ func RunIncast(o Options, k int, dcqcn bool) (IncastMeasure, error) {
 						return
 					}
 					remaining--
-					if i < k {
-						left[i] = remaining
-					}
+					left[i] = remaining
 					if remaining == 0 && done != nil {
 						done()
 					}
@@ -123,9 +139,9 @@ func RunIncast(o Options, k int, dcqcn bool) (IncastMeasure, error) {
 		if err != nil {
 			return m, err
 		}
-		left[i] = incastWrites
+		left[i] = spec.incastWrites
 		dst := uint64(net.Machines[recv].Buf.Base()) + uint64(i)*incastXfer
-		startFlow(i, qp, uint64(net.Machines[i].Buf.Base()), dst, incastWrites, nil)
+		startFlow(i, qp, uint64(net.Machines[i].Buf.Base()), dst, spec.incastWrites, nil)
 	}
 	vqp, _, err := net.Connect(0, idle)
 	if err != nil {
@@ -135,9 +151,21 @@ func RunIncast(o Options, k int, dcqcn bool) (IncastMeasure, error) {
 	startFlow(0, vqp,
 		uint64(victim.Buf.Base())+incastXfer,
 		uint64(net.Machines[idle].Buf.Base()),
-		victimWrites,
+		spec.victimWrites,
 		func() { m.VictimElapsed = victim.Eng.Now().Sub(0) })
 
+	if spec.dcqcnAt > 0 {
+		// Flip DCQCN on mid-storm. The senders' first CNPs arrive
+		// moments later and the pause/resume churn dies out — visible in
+		// the jsonl stream as the pfc-pause alert resolving while
+		// cnps_tx climbs.
+		net.SwEng.Schedule(spec.dcqcnAt, func() { net.EnableDCQCN(roce.DefaultDCQCN()) })
+	}
+
+	run.probe()
+	if rec != nil {
+		rec.Start(2 * sim.Microsecond)
+	}
 	end := net.Run()
 	m.TotalElapsed = end.Sub(0)
 
@@ -154,10 +182,7 @@ func RunIncast(o Options, k int, dcqcn bool) (IncastMeasure, error) {
 	if m.VictimElapsed <= 0 {
 		return m, fmt.Errorf("incast k=%d: victim flow never completed", k)
 	}
-	var vio []string
-	for _, c := range checkers {
-		vio = append(vio, c.Finish()...)
-	}
+	vio := run.violations()
 	m.Violations = len(vio)
 	for i := 0; i < net.Sw.NumPorts(); i++ {
 		st := net.Sw.PortStats(i)
@@ -169,9 +194,9 @@ func RunIncast(o Options, k int, dcqcn bool) (IncastMeasure, error) {
 		m.CNPsSent += mm.NIC.Stack().Stats().CnpsSent
 	}
 	if m.Violations > 0 {
-		return m, fmt.Errorf("incast k=%d: %d invariant violations, first: %s", k, m.Violations, vio[0])
+		return m, fmt.Errorf("incast k=%d: %d invariant violations:\n%s", k, m.Violations, strings.Join(vio, "\n"))
 	}
-	return m, nil
+	return m, run.write(rec)
 }
 
 // ChaosIncastSweep sweeps K∈{2,4,8} senders into one port with and
@@ -180,14 +205,9 @@ func RunIncast(o Options, k int, dcqcn bool) (IncastMeasure, error) {
 // must stay silent at every point.
 func ChaosIncastSweep(o Options) (*stats.Figure, error) {
 	o = o.normalized()
-	fig := stats.NewFigure("Chaos: K-to-1 incast through PFC/ECN switch, victim flow", "K senders", "see series")
-	off := fig.NewSeries("victim completion us (dcqcn off)")
-	on := fig.NewSeries("victim completion us (dcqcn on)")
-	pauses := fig.NewSeries("pfc pauses (dcqcn off)")
-	marks := fig.NewSeries("ecn marks (dcqcn on)")
-	cnps := fig.NewSeries("cnps (dcqcn on)")
-	drops := fig.NewSeries("switch discards")
-	viol := fig.NewSeries("invariant violations")
+	fig, add := sweepFigure("Chaos: K-to-1 incast through PFC/ECN switch, victim flow", "K senders",
+		"victim completion us (dcqcn off)", "victim completion us (dcqcn on)", "pfc pauses (dcqcn off)",
+		"ecn marks (dcqcn on)", "cnps (dcqcn on)", "switch discards", "invariant violations")
 	for _, k := range incastKs {
 		moff, err := RunIncast(o, k, false)
 		if err != nil {
@@ -197,150 +217,28 @@ func ChaosIncastSweep(o Options) (*stats.Figure, error) {
 		if err != nil {
 			return nil, fmt.Errorf("incast k=%d dcqcn=on: %w", k, err)
 		}
-		x, label := float64(k), fmt.Sprintf("%d", k)
-		off.Add(x, label, moff.VictimElapsed.Microseconds())
-		on.Add(x, label, mon.VictimElapsed.Microseconds())
-		pauses.Add(x, label, float64(moff.PFCPauses))
-		marks.Add(x, label, float64(mon.EcnMarked))
-		cnps.Add(x, label, float64(mon.CNPsSent))
-		drops.Add(x, label, float64(moff.Discards+mon.Discards))
-		viol.Add(x, label, float64(moff.Violations+mon.Violations))
+		add(float64(k), fmt.Sprintf("%d", k),
+			moff.VictimElapsed.Microseconds(), mon.VictimElapsed.Microseconds(), float64(moff.PFCPauses),
+			float64(mon.EcnMarked), float64(mon.CNPsSent), float64(moff.Discards+mon.Discards),
+			float64(moff.Violations+mon.Violations))
 	}
 	return fig, nil
 }
 
-// WriteIncastTelemetryExports runs the canonical incast storm — the
-// scenario cmd/strombench exports when -incast is combined with
-// -metrics/-trace/-jsonl — and writes the requested exports. The storm
-// has two phases on one 4→1 incast: DCQCN starts disabled, so PFC
-// pause/resume cycles and ECN marks accumulate (the pfc-pause and
-// ecn-marked alert rules must fire); halfway through the flows every
-// stack enables DCQCN mid-run, so the CNP/pacing counters export real
-// values and the pauses die out. Like the other scenarios it is
-// byte-identical at every -j; the invariant checkers on every stack
-// must stay silent.
-func WriteIncastTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error {
+// exportIncast is the incast scenario: one 4→1 storm in two phases.
+// DCQCN starts disabled, so PFC pause/resume cycles and ECN marks
+// accumulate (the pfc-pause and ecn-marked alert rules must fire);
+// halfway through the flows every stack enables DCQCN mid-run, so the
+// CNP/pacing counters export real values and the pauses die out. The
+// invariant checkers on every stack must stay silent.
+func exportIncast(o Options, w Exports) error {
 	o = o.normalized()
-	const k = 4
-	n := k + 2
-	net, err := testrig.NewNet(o.Seed, n, core.Profile10G(), IncastSwitchConfig(), 1<<20)
-	if err != nil {
-		return err
-	}
-	checkers := net.AttachCheckers()
-
-	var reg *telemetry.Registry
-	var tb *telemetry.TraceBuffer
-	if metricsW != nil || traceW != nil {
-		reg = telemetry.NewRegistry()
-		tb = telemetry.NewTrace(net.SwEng)
-		for i, m := range net.Machines {
-			m.NIC.AttachTelemetry(reg, tb, uint32(i+1), fmt.Sprintf("m%d", i))
-		}
-	}
-	var rec *export.Recorder
-	if jsonlW != nil {
-		rec = export.NewRecorder(export.DefaultRules())
-		net.RecordJSONL(rec)
-		if reg != nil {
-			rec.Registry(net.SwEng, "testbed", reg)
-		}
-	}
-
-	recv, idle := k, k+1
-	incastWrites := 24 * o.Iterations
-	victimWrites := 8 * o.Iterations
-	errs := make([]error, n)
-	left := make([]int, n)
-	startFlow := func(i int, qp uint32, localVA, remoteVA uint64, writes int) {
-		src := net.Machines[i]
-		remaining := writes
-		src.Eng.Schedule(0, func() {
-			for w := 0; w < writes; w++ {
-				src.NIC.PostWrite(qp, localVA, remoteVA, incastXfer, func(err error) {
-					if err != nil {
-						if errs[i] == nil {
-							errs[i] = err
-						}
-						return
-					}
-					remaining--
-					left[i] = remaining
-				})
-			}
-		})
-	}
-	for i := 0; i < k; i++ {
-		qp, _, err := net.Connect(i, recv)
-		if err != nil {
-			return err
-		}
-		left[i] = incastWrites
-		dst := uint64(net.Machines[recv].Buf.Base()) + uint64(i)*incastXfer
-		startFlow(i, qp, uint64(net.Machines[i].Buf.Base()), dst, incastWrites)
-	}
-	vqp, _, err := net.Connect(0, idle)
-	if err != nil {
-		return err
-	}
-	startFlow(0, vqp,
-		uint64(net.Machines[0].Buf.Base())+incastXfer,
-		uint64(net.Machines[idle].Buf.Base()),
-		victimWrites)
-
-	// Phase 2: flip DCQCN on mid-storm. The senders' first CNPs arrive
-	// moments later and the pause/resume churn dies out — visible in the
-	// jsonl stream as the pfc-pause alert resolving while cnps_tx climbs.
-	phase2 := sim.Duration(incastWrites) * 8 * sim.Microsecond
-	net.SwEng.Schedule(phase2, func() {
-		for _, m := range net.Machines {
-			m.NIC.Stack().EnableDCQCN(roce.DefaultDCQCN())
-		}
-	})
-
-	if reg != nil {
-		telemetry.Probe(net.SwEng, 2*sim.Microsecond, func(sim.Time) {
-			for _, m := range net.Machines {
-				m.NIC.TelemetrySample()
-			}
-		})
-	}
-	if rec != nil {
-		rec.Start(2 * sim.Microsecond)
-	}
-	net.Run()
-
-	for i, e := range errs {
-		if e != nil {
-			return fmt.Errorf("incast telemetry scenario: machine %d: %w", i, e)
-		}
-	}
-	for i := 0; i < k; i++ {
-		if left[i] != 0 {
-			return fmt.Errorf("incast telemetry scenario: sender %d stalled with %d writes left", i, left[i])
-		}
-	}
-	var vio []string
-	for _, c := range checkers {
-		vio = append(vio, c.Finish()...)
-	}
-	if len(vio) > 0 {
-		return fmt.Errorf("incast telemetry scenario: %d invariant violations:\n%s", len(vio), strings.Join(vio, "\n"))
-	}
-	if metricsW != nil {
-		if err := reg.WriteJSON(metricsW); err != nil {
-			return err
-		}
-	}
-	if traceW != nil {
-		if err := tb.WriteJSON(traceW); err != nil {
-			return err
-		}
-	}
-	if rec != nil {
-		if err := rec.WriteJSONL(jsonlW); err != nil {
-			return err
-		}
-	}
-	return nil
+	writes := 24 * o.Iterations
+	_, err := runIncast(o, incastSpec{
+		k:            4,
+		incastWrites: writes,
+		victimWrites: 8 * o.Iterations,
+		dcqcnAt:      sim.Duration(writes) * 8 * sim.Microsecond,
+	}, w)
+	return err
 }

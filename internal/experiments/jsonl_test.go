@@ -28,8 +28,8 @@ var (
 func runJSONL(t *testing.T, o Options) []byte {
 	t.Helper()
 	var w bytes.Buffer
-	if err := WriteTelemetryExports(o, nil, nil, &w); err != nil {
-		t.Fatalf("WriteTelemetryExports: %v", err)
+	if err := exportClean(o, Exports{JSONL: &w}); err != nil {
+		t.Fatalf("exportClean: %v", err)
 	}
 	return w.Bytes()
 }
@@ -50,7 +50,7 @@ func TestJSONLByteIdentical(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var w bytes.Buffer
-			errs[i] = WriteTelemetryExports(Quick(), nil, nil, &w)
+			errs[i] = exportClean(Quick(), Exports{JSONL: &w})
 			outs[i] = w.Bytes()
 		}(i)
 	}
@@ -113,8 +113,8 @@ func TestJSONLScenarioContent(t *testing.T) {
 // workload genuinely stalls past the 2 ms hold on some seeds.
 func TestJSONLChaosAlertsFire(t *testing.T) {
 	var w bytes.Buffer
-	if err := WriteChaosTelemetryExports(Quick(), nil, nil, &w); err != nil {
-		t.Fatalf("WriteChaosTelemetryExports: %v", err)
+	if err := exportChaos(Quick(), Exports{JSONL: &w}); err != nil {
+		t.Fatalf("exportChaos: %v", err)
 	}
 	tail, err := export.ReadAll(bytes.NewReader(w.Bytes()))
 	if err != nil {

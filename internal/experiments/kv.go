@@ -3,18 +3,15 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
 	"strom/internal/chaos"
-	"strom/internal/core"
 	"strom/internal/kvserve"
 	"strom/internal/sim"
 	"strom/internal/stats"
 	"strom/internal/telemetry"
 	"strom/internal/telemetry/export"
-	"strom/internal/testrig"
 	"strom/internal/workload"
 )
 
@@ -73,17 +70,22 @@ func (f kvFaults) label() string {
 
 // kvMeasure is one chaos-kv point's outcome.
 type kvMeasure struct {
+	kvCounts
 	putP50, putP99, putP999 sim.Duration
 	getP50, getP99, getP999 sim.Duration
 
-	acked         uint64
 	unacked       uint64
-	gets          uint64
-	retries       uint64
-	failovers     uint64
 	dupSuppressed uint64
 	staleRerouted uint64
 	rkeyRefetches uint64
+}
+
+// kvCounts are the work counters both KV regimes report.
+type kvCounts struct {
+	acked         uint64
+	gets          uint64
+	retries       uint64
+	failovers     uint64
 	repairs       uint64
 	detectorFires uint64
 	faults        uint64
@@ -101,99 +103,156 @@ func latQuantile(samples []sim.Duration, q float64) sim.Duration {
 	return s[idx]
 }
 
-// kvLinkFaults is the per-direction impairment of the loss regimes:
-// the 2% bursty-loss mix with light duplication and reordering, enough
-// to exercise retries and the duplicate-suppression probe without
-// starving the workload.
-func kvLinkFaults() chaos.LinkFaults {
-	return chaos.LinkFaults{
-		Loss:        chaos.BurstyLoss(0.02),
-		DupProb:     0.01,
-		DupDelay:    2 * sim.Microsecond,
-		ReorderProb: 0.01,
-		ReorderMax:  5 * sim.Microsecond,
-	}
+// kvRun is the setup chaos-kv and chaos-kv-large share: the switched
+// testbed with invariant checkers, the kvserve cluster on it (client on
+// m0, shard i's primary on m(i+1)), the recorder whose heartbeat
+// watchdog drives the failover controller, the loss fault sites, and
+// the barrier the convergence loop waits out.
+type kvRun struct {
+	*netRun
+	cl      *kvserve.Cluster
+	rec     *export.Recorder
+	sites   []*chaos.FaultSite
+	barrier sim.Time // last scheduled restart; set with the crash cycles
 }
 
-// runKV drives one chaos-kv point and (optionally) writes the telemetry
-// exports. The run fails — rather than producing a measurement — on any
-// lost acked write, duplicate-applied Put, stale read past an acked
-// version, protocol invariant violation, rogue success, or
-// non-convergent deficit.
-func runKV(o Options, f kvFaults, metricsW, traceW, jsonlW io.Writer) (kvMeasure, error) {
-	o = o.normalized()
-	net, err := testrig.NewNet(o.Seed, kvMachines, core.Profile10G(), IncastSwitchConfig(), 1<<20)
-	if err != nil {
-		return kvMeasure{}, err
-	}
-	checkers := net.AttachCheckers()
-
+// newKVRun builds a KV run on a testbed of the given size. cfg carries
+// the regime's own fields (key space, blast region, sessions); newKVRun
+// sets the client, servers, deadlines, retry policy and registry both
+// regimes share. loss installs the bursty-loss fault sites on every
+// server link.
+func newKVRun(o Options, machines int, cfg kvserve.Config, loss bool, w Exports) (*kvRun, error) {
 	// The client's op-latency histograms always live in a registry (the
-	// sweep reads quantiles from raw samples; the registry feeds the
-	// op-latency-p99 alert rule when the point streams JSONL).
-	reg := telemetry.NewRegistry()
-	var tb *telemetry.TraceBuffer
-	if metricsW != nil || traceW != nil {
-		tb = telemetry.NewTrace(net.SwEng)
-		for i, m := range net.Machines {
-			m.NIC.AttachTelemetry(reg, tb, uint32(i+1), fmt.Sprintf("m%d", i))
-		}
-	}
-
-	servers := make([]int, kvServers)
-	for i := range servers {
-		servers[i] = kvServerM + i
-	}
-	cl, err := kvserve.New(net, kvserve.Config{
-		ClientMachine:  kvClientM,
-		ServerMachines: servers,
-		NumKeys:        kvKeys,
-		BlastBytes:     256 << 10,
-		OpDeadline:     600 * sim.Microsecond,
-		Backoff:        sim.Backoff{Base: 50 * sim.Microsecond, Max: 800 * sim.Microsecond, Factor: 2, Jitter: 0.5},
-		MaxAttempts:    4,
-		HeartbeatEvery: 50 * sim.Microsecond,
-		Registry:       reg,
-	})
+	// sweeps read quantiles from raw samples; the registry feeds the
+	// op-latency-p99 alert rule when the run streams JSONL).
+	nr, err := newNetRun(o, machines, telemetry.NewRegistry(), w)
 	if err != nil {
-		return kvMeasure{}, err
+		return nil, err
 	}
+	cfg.ClientMachine = kvClientM
+	cfg.ServerMachines = make([]int, kvServers)
+	for i := range cfg.ServerMachines {
+		cfg.ServerMachines[i] = kvServerM + i
+	}
+	cfg.OpDeadline = 600 * sim.Microsecond
+	cfg.Backoff = sim.Backoff{Base: 50 * sim.Microsecond, Max: 800 * sim.Microsecond, Factor: 2, Jitter: 0.5}
+	cfg.MaxAttempts = 4
+	cfg.HeartbeatEvery = 50 * sim.Microsecond
+	cfg.Registry = nr.reg
+	cl, err := kvserve.New(nr.Net, cfg)
+	if err != nil {
+		return nil, err
+	}
+	r := &kvRun{netRun: nr, cl: cl}
 
 	// Failure detection and failover always run through the telemetry
 	// machinery: heartbeat sources, the kv-heartbeat watchdog, and the
 	// alert-driven shard-map controller.
-	rec := export.NewRecorder(append(export.DefaultRules(), kvserve.HeartbeatRule()))
-	cl.RegisterHealth(rec)
-	cl.AttachController(rec)
-	if jsonlW != nil {
-		net.RecordJSONL(rec)
-		rec.Registry(net.SwEng, "testbed", reg)
-	}
-	rec.Start(20 * sim.Microsecond)
+	r.rec = export.NewRecorder(append(export.DefaultRules(), kvserve.HeartbeatRule()))
+	cl.RegisterHealth(r.rec)
+	cl.AttachController(r.rec)
+	r.stream(r.rec)
+	r.rec.Start(20 * sim.Microsecond)
 
-	// Fault regime: bursty loss on every server link, both directions
-	// (the NIC-side uplink carries requests and ACKs toward the switch,
-	// the switch egress carries them toward the server).
-	var sites []*chaos.FaultSite
-	if f.loss {
-		for _, mi := range servers {
-			m := net.Machines[mi]
-			up := chaos.NewFaultSite(m.Eng, fmt.Sprintf("m%d-up", mi), kvLinkFaults(), nil, 0)
-			down := chaos.NewFaultSite(net.SwEng, fmt.Sprintf("m%d-down", mi), kvLinkFaults(), nil, 0)
+	// The 2% bursty-loss mix on every server link, both directions (the
+	// NIC-side uplink carries requests and ACKs toward the switch, the
+	// switch egress carries them toward the server): enough to exercise
+	// retries and the duplicate-suppression probe without starving the
+	// workload.
+	if loss {
+		for _, mi := range cfg.ServerMachines {
+			m := r.Machines[mi]
+			up := chaos.NewFaultSite(m.Eng, fmt.Sprintf("m%d-up", mi), burstyFaults(0.02), nil, 0)
+			down := chaos.NewFaultSite(r.SwEng, fmt.Sprintf("m%d-down", mi), burstyFaults(0.02), nil, 0)
 			m.Port.SetFaults(up)
-			net.Sw.SetEgressFaults(mi, down)
-			sites = append(sites, up, down)
+			r.Sw.SetEgressFaults(mi, down)
+			r.sites = append(r.sites, up, down)
 		}
 	}
+	return r, nil
+}
+
+// converge waits out the last scheduled restart, then repairs until
+// every replica deficit is paid (or five passes have run).
+func (r *kvRun) converge(p *sim.Process) {
+	if now := p.Now(); now < r.barrier {
+		p.Sleep(r.barrier.Sub(now))
+	}
+	c := r.cl.Client
+	for tries := 0; tries < 5 && (c.RepairDue() || c.Deficits() > 0); tries++ {
+		c.RepairAll(p)
+	}
+}
+
+// run starts the occupancy probe and runs the testbed to completion.
+// Call after scheduling the workload.
+func (r *kvRun) run() {
+	r.probe()
+	r.Run()
+}
+
+// guarantees is the guarantee gate both regimes share: checker
+// invariants, then the caller's extra findings, shard convergence, the
+// client's online violation counters and the host-side ground-truth
+// audit of every slot and extent ever written.
+func (r *kvRun) guarantees(extra ...string) []string {
+	vio := append(r.violations(), extra...)
+	c := r.cl.Client
+	if d := c.Deficits(); d != 0 {
+		vio = append(vio, fmt.Sprintf("convergence: %d replica writes still owed after RepairAll", d))
+	}
+	if c.Stats.StaleServed != 0 {
+		vio = append(vio, fmt.Sprintf("guarantee: %d Gets served stale past an acked version", c.Stats.StaleServed))
+	}
+	if c.Stats.Misapplied != 0 {
+		vio = append(vio, fmt.Sprintf("guarantee: %d slots observed with misapplied bytes", c.Stats.Misapplied))
+	}
+	if c.Stats.TornServed != 0 {
+		vio = append(vio, fmt.Sprintf("guarantee: %d torn large values crossed the serve boundary", c.Stats.TornServed))
+	}
+	return append(vio, r.cl.Audit()...)
+}
+
+// counts reads the shared work counters after the run: the client's op
+// and recovery counts, the kv-heartbeat alerts raised, the frames the
+// loss sites faulted, and the guarantee gate's violations.
+func (r *kvRun) counts(vio []string) kvCounts {
+	st := r.cl.Client.Stats
+	n := kvCounts{
+		acked:         st.AckedPuts,
+		gets:          st.Gets,
+		retries:       st.Retries,
+		failovers:     st.Failovers,
+		repairs:       st.Repairs,
+		detectorFires: r.rec.Fired(kvserve.HeartbeatRule().Name),
+		violations:    len(vio),
+	}
+	for _, s := range r.sites {
+		n.faults += s.Stats().Total()
+	}
+	return n
+}
+
+// runKV drives one chaos-kv point and writes the requested exports. The
+// run fails — rather than producing a measurement — on any lost acked
+// write, duplicate-applied Put, stale read past an acked version,
+// protocol invariant violation, rogue success, or non-convergent
+// deficit.
+func runKV(o Options, f kvFaults, w Exports) (kvMeasure, error) {
+	o = o.normalized()
+	run, err := newKVRun(o, kvMachines, kvserve.Config{NumKeys: kvKeys, BlastBytes: 256 << 10}, f.loss, w)
+	if err != nil {
+		return kvMeasure{}, err
+	}
+	net, cl, c := run.Net, run.cl, run.cl.Client
 
 	// Crash cycles: shard 0's server dies early, shard 2's mid-run; the
 	// cycles are staggered so the cluster never loses both replicas of
 	// any shard and every acked write survives.
-	var barrier sim.Time
 	if f.crashes {
 		cl.CrashCycle(0, sim.Time(600*sim.Microsecond), 1200*sim.Microsecond)
 		cl.CrashCycle(2, sim.Time(2200*sim.Microsecond), 1200*sim.Microsecond)
-		barrier = sim.Time(4 * sim.Millisecond)
+		run.barrier = sim.Time(4 * sim.Millisecond)
 	}
 
 	// Storm: two blasters pour 4 KB write trains into shard 1's blast
@@ -206,7 +265,7 @@ func runKV(o Options, f kvFaults, metricsW, traceW, jsonlW io.Writer) (kvMeasure
 	var rogue *chaos.Rogue
 	if f.storm {
 		blastVA, blastLen, _ := cl.BlastTarget(1)
-		victim := servers[1]
+		victim := kvServerM + 1
 		wave := 6 * o.Iterations
 		for bi, mi := range []int{kvBlasterAM, kvBlasterBM} {
 			qp, _, cerr := net.Connect(mi, victim)
@@ -270,7 +329,6 @@ func runKV(o Options, f kvFaults, metricsW, traceW, jsonlW io.Writer) (kvMeasure
 		return kvMeasure{}, err
 	}
 	ops := 150 * o.Iterations
-	c := cl.Client
 	eng := net.Machines[kvClientM].Eng
 	rng := eng.Rand()
 	var runErr error
@@ -298,22 +356,9 @@ func runKV(o Options, f kvFaults, metricsW, traceW, jsonlW io.Writer) (kvMeasure
 				return
 			}
 		}
-		if now := p.Now(); now < barrier {
-			p.Sleep(barrier.Sub(now))
-		}
-		for tries := 0; tries < 5 && (c.RepairDue() || c.Deficits() > 0); tries++ {
-			c.RepairAll(p)
-		}
+		run.converge(p)
 	})
-
-	if tb != nil {
-		telemetry.Probe(net.SwEng, 2*sim.Microsecond, func(sim.Time) {
-			for _, m := range net.Machines {
-				m.NIC.TelemetrySample()
-			}
-		})
-	}
-	net.Run()
+	run.run()
 
 	if runErr != nil {
 		return kvMeasure{}, fmt.Errorf("chaos-kv %s: %w", f.label(), runErr)
@@ -329,47 +374,24 @@ func runKV(o Options, f kvFaults, metricsW, traceW, jsonlW io.Writer) (kvMeasure
 		}
 	}
 
-	// The guarantee gate: checker invariants, rogue containment, shard
-	// convergence, the client's online violation counters, and the
-	// host-side ground-truth audit of every slot ever written.
-	var vio []string
-	for _, ck := range checkers {
-		vio = append(vio, ck.Finish()...)
-	}
+	// The guarantee gate, with rogue containment on top.
+	var rogueVio []string
 	if rogue != nil && rogue.Stats().Unexpected > 0 {
-		vio = append(vio, fmt.Sprintf("rogue: %d forged requests completed (protection failed)", rogue.Stats().Unexpected))
+		rogueVio = append(rogueVio, fmt.Sprintf("rogue: %d forged requests completed (protection failed)", rogue.Stats().Unexpected))
 	}
-	if d := c.Deficits(); d != 0 {
-		vio = append(vio, fmt.Sprintf("convergence: %d replica writes still owed after RepairAll", d))
-	}
-	if c.Stats.StaleServed != 0 {
-		vio = append(vio, fmt.Sprintf("guarantee: %d Gets served stale past an acked version", c.Stats.StaleServed))
-	}
-	if c.Stats.Misapplied != 0 {
-		vio = append(vio, fmt.Sprintf("guarantee: %d slots observed with misapplied bytes", c.Stats.Misapplied))
-	}
-	vio = append(vio, cl.Audit()...)
+	vio := run.guarantees(rogueVio...)
 	m := kvMeasure{
+		kvCounts:      run.counts(vio),
 		putP50:        latQuantile(c.PutLat, 0.50),
 		putP99:        latQuantile(c.PutLat, 0.99),
 		putP999:       latQuantile(c.PutLat, 0.999),
 		getP50:        latQuantile(c.GetLat, 0.50),
 		getP99:        latQuantile(c.GetLat, 0.99),
 		getP999:       latQuantile(c.GetLat, 0.999),
-		acked:         c.Stats.AckedPuts,
 		unacked:       c.Stats.UnackedPuts,
-		gets:          c.Stats.Gets,
-		retries:       c.Stats.Retries,
-		failovers:     c.Stats.Failovers,
 		dupSuppressed: c.Stats.DupSuppressed,
 		staleRerouted: c.Stats.StaleRerouted,
 		rkeyRefetches: c.Stats.RKeyRefetches,
-		repairs:       c.Stats.Repairs,
-		detectorFires: rec.Fired(kvserve.HeartbeatRule().Name),
-		violations:    len(vio),
-	}
-	for _, s := range sites {
-		m.faults += s.Stats().Total()
 	}
 	if len(vio) > 0 {
 		return m, fmt.Errorf("chaos-kv %s: %d violations:\n%s", f.label(), len(vio), strings.Join(vio, "\n"))
@@ -377,23 +399,7 @@ func runKV(o Options, f kvFaults, metricsW, traceW, jsonlW io.Writer) (kvMeasure
 	if f.crashes && (m.detectorFires == 0 || m.failovers == 0 || m.repairs == 0) {
 		return m, fmt.Errorf("chaos-kv %s: crash regime never exercised detection/failover/repair: %+v", f.label(), c.Stats)
 	}
-
-	if metricsW != nil {
-		if err := reg.WriteJSON(metricsW); err != nil {
-			return m, err
-		}
-	}
-	if traceW != nil {
-		if err := tb.WriteJSON(traceW); err != nil {
-			return m, err
-		}
-	}
-	if jsonlW != nil {
-		if err := rec.WriteJSONL(jsonlW); err != nil {
-			return m, err
-		}
-	}
-	return m, nil
+	return m, run.write(run.rec)
 }
 
 // kvSweepPoints is the chaos-kv sweep's x axis: escalating fault
@@ -410,60 +416,32 @@ var kvSweepPoints = []kvFaults{
 // Any exactly-once violation fails the sweep instead of plotting.
 func ChaosKVSweep(o Options) (*stats.Figure, error) {
 	o = o.normalized()
-	fig := stats.NewFigure("Chaos: replicated KV under loss, crashes and storms", "fault regime", "see series")
-	series := []*stats.Series{
-		fig.NewSeries("put p50 (us)"),
-		fig.NewSeries("put p99 (us)"),
-		fig.NewSeries("put p999 (us)"),
-		fig.NewSeries("get p50 (us)"),
-		fig.NewSeries("get p99 (us)"),
-		fig.NewSeries("get p999 (us)"),
-		fig.NewSeries("acked puts"),
-		fig.NewSeries("get ops"),
-		fig.NewSeries("retries"),
-		fig.NewSeries("failovers"),
-		fig.NewSeries("dup suppressed"),
-		fig.NewSeries("stale rerouted"),
-		fig.NewSeries("rkey refetches"),
-		fig.NewSeries("repairs"),
-		fig.NewSeries("detector fires"),
-		fig.NewSeries("faults injected"),
-		fig.NewSeries("violations"),
-	}
+	fig, add := sweepFigure("Chaos: replicated KV under loss, crashes and storms", "fault regime",
+		"put p50 (us)", "put p99 (us)", "put p999 (us)", "get p50 (us)", "get p99 (us)", "get p999 (us)",
+		"acked puts", "get ops", "retries", "failovers", "dup suppressed", "stale rerouted",
+		"rkey refetches", "repairs", "detector fires", "faults injected", "violations")
 	for i, f := range kvSweepPoints {
-		m, err := runKV(o, f, nil, nil, nil)
+		m, err := runKV(o, f, Exports{})
 		if err != nil {
 			return nil, err
 		}
-		x, label := float64(i), f.label()
-		vals := []float64{
+		add(float64(i), f.label(),
 			m.putP50.Microseconds(), m.putP99.Microseconds(), m.putP999.Microseconds(),
 			m.getP50.Microseconds(), m.getP99.Microseconds(), m.getP999.Microseconds(),
 			float64(m.acked), float64(m.gets), float64(m.retries), float64(m.failovers),
 			float64(m.dupSuppressed), float64(m.staleRerouted), float64(m.rkeyRefetches),
-			float64(m.repairs), float64(m.detectorFires), float64(m.faults), float64(m.violations),
-		}
-		for si, v := range vals {
-			series[si].Add(x, label, v)
-		}
+			float64(m.repairs), float64(m.detectorFires), float64(m.faults), float64(m.violations))
 	}
 	return fig, nil
 }
 
-// WriteKVTelemetry runs the full chaos-kv storm and writes the metrics
-// registry and Perfetto trace (the -kv strombench scenario).
-func WriteKVTelemetry(o Options, metricsW, traceW io.Writer) error {
-	return WriteKVTelemetryExports(o, metricsW, traceW, nil)
-}
-
-// WriteKVTelemetryExports is the exportable chaos-kv scenario: the storm
-// regime (loss + crashes + incast + rogue) streamed through the JSONL
-// recorder with the kv-heartbeat watchdog in the rule set. The
-// kv-heartbeat alert must fire (the crash cycles guarantee frozen
-// heartbeats) and retry-storm fires on seeds where a loss burst lands in
-// a retransmission train; a monitoring consumer (make soak, stromtail)
-// requires the former. The output is byte-identical at any -j.
-func WriteKVTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error {
-	_, err := runKV(o, kvFaults{loss: true, crashes: true, storm: true}, metricsW, traceW, jsonlW)
+// exportKV is the kv scenario: the chaos-kv storm regime (loss +
+// crashes + incast + rogue) with the kv-heartbeat watchdog in the rule
+// set. The kv-heartbeat alert must fire (the crash cycles guarantee
+// frozen heartbeats) and retry-storm fires on seeds where a loss burst
+// lands in a retransmission train; a monitoring consumer (make soak,
+// stromtail) requires the former.
+func exportKV(o Options, w Exports) error {
+	_, err := runKV(o, kvFaults{loss: true, crashes: true, storm: true}, w)
 	return err
 }

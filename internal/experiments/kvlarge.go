@@ -3,17 +3,11 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 
-	"strom/internal/chaos"
-	"strom/internal/core"
 	"strom/internal/kvserve"
 	"strom/internal/roce"
 	"strom/internal/sim"
 	"strom/internal/stats"
-	"strom/internal/telemetry"
-	"strom/internal/telemetry/export"
-	"strom/internal/testrig"
 	"strom/internal/workload"
 )
 
@@ -29,16 +23,11 @@ import (
 // crash/restart cycles on top of the race; the audit fails the run on
 // any torn value served, and the crash points must prove orphan
 // extents (written but never published) are reaped, never served.
-//
-// The topology is four machines on the PFC/ECN switch: m0 runs the
-// client (two sessions: workload + racer), m1-m3 the servers.
 
-const (
-	kvlClientM  = 0
-	kvlServerM  = 1
-	kvlServers  = 3
-	kvlMachines = 4
-)
+// kvlMachines sizes the topology: four machines on the PFC/ECN switch,
+// m0 running the client (two sessions: workload + racer) and m1-m3 the
+// servers, in the chaos-kv roles.
+const kvlMachines = 4
 
 // kvlKeys keeps the key space small enough that the zipfian head keys
 // see many versions; the hot keys live outside the zipfian draw.
@@ -71,109 +60,46 @@ func (f kvlFaults) label() string {
 
 // kvlMeasure is one chaos-kv-large point's outcome.
 type kvlMeasure struct {
-	acked         uint64
+	kvCounts
 	largePuts     uint64
-	gets          uint64
 	spilledReads  uint64
 	tornDetected  uint64
 	tornRetries   uint64
 	tornFailovers uint64
 	orphansReaped uint64
-	retries       uint64
-	failovers     uint64
-	repairs       uint64
-	detectorFires uint64
-	faults        uint64
-	violations    int
 }
 
-// runKVLarge drives one chaos-kv-large point and (optionally) writes
-// the telemetry exports. The run fails — rather than producing a
-// measurement — on any torn value served, lost acked write, misapplied
-// slot or extent, arena leak, or non-convergent deficit; the racing
-// points additionally fail if no torn read was detected and retried,
-// and the crash points if no orphan extent was reaped.
-func runKVLarge(o Options, f kvlFaults, metricsW, traceW, jsonlW io.Writer) (kvlMeasure, error) {
+// runKVLarge drives one chaos-kv-large point and writes the requested
+// exports. The run fails — rather than producing a measurement — on
+// any torn value served, lost acked write, misapplied slot or extent,
+// arena leak, or non-convergent deficit; the racing points additionally
+// fail if no torn read was detected and retried, and the crash points
+// if no orphan extent was reaped.
+func runKVLarge(o Options, f kvlFaults, w Exports) (kvlMeasure, error) {
 	o = o.normalized()
-	net, err := testrig.NewNet(o.Seed, kvlMachines, core.Profile10G(), IncastSwitchConfig(), 1<<20)
+	// The torn-read rate rule ships in DefaultRules and watches the
+	// client's kv_torn_detected surface.
+	run, err := newKVRun(o, kvlMachines, kvserve.Config{
+		NumKeys:    kvlKeys,
+		TornBudget: 3,
+		Sessions:   2, // workload + racer
+	}, f.loss, w)
 	if err != nil {
 		return kvlMeasure{}, err
 	}
-	checkers := net.AttachCheckers()
-	if f.racing {
-		// The racer overwrites slots and extents its own reads are
-		// in flight against, so a chaos-duplicated READ replayed by the
-		// responder can legitimately serve post-overwrite bytes.
-		for _, ck := range checkers {
-			ck.SetVolatileReads(true)
-		}
-	}
-
-	reg := telemetry.NewRegistry()
-	var tb *telemetry.TraceBuffer
-	if metricsW != nil || traceW != nil {
-		tb = telemetry.NewTrace(net.SwEng)
-		for i, m := range net.Machines {
-			m.NIC.AttachTelemetry(reg, tb, uint32(i+1), fmt.Sprintf("m%d", i))
-		}
-	}
-
-	servers := make([]int, kvlServers)
-	for i := range servers {
-		servers[i] = kvlServerM + i
-	}
-	cl, err := kvserve.New(net, kvserve.Config{
-		ClientMachine:  kvlClientM,
-		ServerMachines: servers,
-		NumKeys:        kvlKeys,
-		OpDeadline:     600 * sim.Microsecond,
-		Backoff:        sim.Backoff{Base: 50 * sim.Microsecond, Max: 800 * sim.Microsecond, Factor: 2, Jitter: 0.5},
-		MaxAttempts:    4,
-		TornBudget:     3,
-		Sessions:       2, // workload + racer
-		HeartbeatEvery: 50 * sim.Microsecond,
-		Registry:       reg,
-	})
-	if err != nil {
-		return kvlMeasure{}, err
-	}
-
-	// Failure detection runs the production path: heartbeat watchdog,
-	// alert-driven shard map. The torn-read rate rule ships in
-	// DefaultRules and watches the client's kv_torn_detected surface.
-	rec := export.NewRecorder(append(export.DefaultRules(), kvserve.HeartbeatRule()))
-	cl.RegisterHealth(rec)
-	cl.AttachController(rec)
-	if jsonlW != nil {
-		net.RecordJSONL(rec)
-		rec.Registry(net.SwEng, "testbed", reg)
-	}
-	rec.Start(20 * sim.Microsecond)
-
-	var sites []*chaos.FaultSite
-	if f.loss {
-		for _, mi := range servers {
-			m := net.Machines[mi]
-			up := chaos.NewFaultSite(m.Eng, fmt.Sprintf("m%d-up", mi), kvLinkFaults(), nil, 0)
-			down := chaos.NewFaultSite(net.SwEng, fmt.Sprintf("m%d-down", mi), kvLinkFaults(), nil, 0)
-			m.Port.SetFaults(up)
-			net.Sw.SetEgressFaults(mi, down)
-			sites = append(sites, up, down)
-		}
-	}
+	cl, c := run.cl, run.cl.Client
 
 	// Crash cycles land on the hot keys' shards: every racer op caught
 	// between its extent write and its slot publish leaves an orphan
 	// image the post-restart repair or the next overwrite must reap.
 	// The four cycles never overlap, so no shard ever loses both
 	// replicas and every acked write survives.
-	var barrier sim.Time
 	if f.crashes {
 		cl.CrashCycle(0, sim.Time(600*sim.Microsecond), 800*sim.Microsecond)
 		cl.CrashCycle(2, sim.Time(1600*sim.Microsecond), 800*sim.Microsecond)
 		cl.CrashCycle(0, sim.Time(2600*sim.Microsecond), 800*sim.Microsecond)
 		cl.CrashCycle(2, sim.Time(3600*sim.Microsecond), 800*sim.Microsecond)
-		barrier = sim.Time(5500 * sim.Microsecond)
+		run.barrier = sim.Time(5500 * sim.Microsecond)
 	}
 
 	zipf, err := workload.NewZipfian(kvlKeys, 0.9, o.Seed, true)
@@ -194,8 +120,7 @@ func runKVLarge(o Options, f kvlFaults, metricsW, traceW, jsonlW io.Writer) (kvl
 		return k
 	}
 
-	c := cl.Client
-	eng := net.Machines[kvlClientM].Eng
+	eng := run.Machines[kvClientM].Eng
 	rng := eng.Rand()
 	// ErrPeerCrashed rides along with the crash cycles: an op can reach
 	// a just-crashed server before the heartbeat watchdog marks it down,
@@ -270,22 +195,9 @@ func runKVLarge(o Options, f kvlFaults, metricsW, traceW, jsonlW io.Writer) (kvl
 		for !racerDone {
 			p.Sleep(50 * sim.Microsecond)
 		}
-		if now := p.Now(); now < barrier {
-			p.Sleep(barrier.Sub(now))
-		}
-		for tries := 0; tries < 5 && (c.RepairDue() || c.Deficits() > 0); tries++ {
-			c.RepairAll(p)
-		}
+		run.converge(p)
 	})
-
-	if tb != nil {
-		telemetry.Probe(net.SwEng, 2*sim.Microsecond, func(sim.Time) {
-			for _, m := range net.Machines {
-				m.NIC.TelemetrySample()
-			}
-		})
-	}
-	net.Run()
+	run.run()
 
 	if runErr != nil {
 		return kvlMeasure{}, fmt.Errorf("chaos-kv-large %s: %w", f.label(), runErr)
@@ -294,44 +206,15 @@ func runKVLarge(o Options, f kvlFaults, metricsW, traceW, jsonlW io.Writer) (kvl
 		return kvlMeasure{}, fmt.Errorf("chaos-kv-large %s: %w", f.label(), racerErr)
 	}
 
-	// The guarantee gate: checker invariants, convergence, the online
-	// violation counters (torn-served above all), and the host-side
-	// ground-truth audit of every slot and extent ever written.
-	var vio []string
-	for _, ck := range checkers {
-		vio = append(vio, ck.Finish()...)
-	}
-	if d := c.Deficits(); d != 0 {
-		vio = append(vio, fmt.Sprintf("convergence: %d replica writes still owed after RepairAll", d))
-	}
-	if c.Stats.StaleServed != 0 {
-		vio = append(vio, fmt.Sprintf("guarantee: %d Gets served stale past an acked version", c.Stats.StaleServed))
-	}
-	if c.Stats.Misapplied != 0 {
-		vio = append(vio, fmt.Sprintf("guarantee: %d slots observed with misapplied bytes", c.Stats.Misapplied))
-	}
-	if c.Stats.TornServed != 0 {
-		vio = append(vio, fmt.Sprintf("guarantee: %d torn large values crossed the serve boundary", c.Stats.TornServed))
-	}
-	vio = append(vio, cl.Audit()...)
-
+	vio := run.guarantees()
 	m := kvlMeasure{
-		acked:         c.Stats.AckedPuts,
+		kvCounts:      run.counts(vio),
 		largePuts:     c.Stats.LargePuts,
-		gets:          c.Stats.Gets,
 		spilledReads:  c.Stats.SpilledReads,
 		tornDetected:  c.Stats.TornDetected,
 		tornRetries:   c.Stats.TornRetries,
 		tornFailovers: c.Stats.TornFailovers,
 		orphansReaped: c.Stats.OrphansReaped,
-		retries:       c.Stats.Retries,
-		failovers:     c.Stats.Failovers,
-		repairs:       c.Stats.Repairs,
-		detectorFires: rec.Fired(kvserve.HeartbeatRule().Name),
-		violations:    len(vio),
-	}
-	for _, s := range sites {
-		m.faults += s.Stats().Total()
 	}
 	if len(vio) > 0 {
 		return m, fmt.Errorf("chaos-kv-large %s: %d violations:\n%s", f.label(), len(vio), vio[0])
@@ -351,23 +234,7 @@ func runKVLarge(o Options, f kvlFaults, metricsW, traceW, jsonlW io.Writer) (kvl
 	if f.crashes && (m.detectorFires == 0 || m.repairs == 0) {
 		return m, fmt.Errorf("chaos-kv-large %s: crash regime never exercised detection/repair: %+v", f.label(), c.Stats)
 	}
-
-	if metricsW != nil {
-		if err := reg.WriteJSON(metricsW); err != nil {
-			return m, err
-		}
-	}
-	if traceW != nil {
-		if err := tb.WriteJSON(traceW); err != nil {
-			return m, err
-		}
-	}
-	if jsonlW != nil {
-		if err := rec.WriteJSONL(jsonlW); err != nil {
-			return m, err
-		}
-	}
-	return m, nil
+	return m, run.write(run.rec)
 }
 
 // kvlSweepPoints is the chaos-kv-large sweep's x axis: the bare
@@ -384,49 +251,29 @@ var kvlSweepPoints = []kvlFaults{
 // counters. Any torn value served fails the sweep instead of plotting.
 func ChaosKVLargeSweep(o Options) (*stats.Figure, error) {
 	o = o.normalized()
-	fig := stats.NewFigure("Chaos: large-value KV under racing overwrites, loss and crashes", "fault regime", "see series")
-	series := []*stats.Series{
-		fig.NewSeries("acked puts"),
-		fig.NewSeries("large puts"),
-		fig.NewSeries("get ops"),
-		fig.NewSeries("spilled reads"),
-		fig.NewSeries("torn detected"),
-		fig.NewSeries("torn retries"),
-		fig.NewSeries("torn failovers"),
-		fig.NewSeries("orphans reaped"),
-		fig.NewSeries("retries"),
-		fig.NewSeries("failovers"),
-		fig.NewSeries("repairs"),
-		fig.NewSeries("detector fires"),
-		fig.NewSeries("faults injected"),
-		fig.NewSeries("violations"),
-	}
+	fig, add := sweepFigure("Chaos: large-value KV under racing overwrites, loss and crashes", "fault regime",
+		"acked puts", "large puts", "get ops", "spilled reads", "torn detected", "torn retries",
+		"torn failovers", "orphans reaped", "retries", "failovers", "repairs", "detector fires",
+		"faults injected", "violations")
 	for i, f := range kvlSweepPoints {
-		m, err := runKVLarge(o, f, nil, nil, nil)
+		m, err := runKVLarge(o, f, Exports{})
 		if err != nil {
 			return nil, err
 		}
-		x, label := float64(i), f.label()
-		vals := []float64{
+		add(float64(i), f.label(),
 			float64(m.acked), float64(m.largePuts), float64(m.gets), float64(m.spilledReads),
 			float64(m.tornDetected), float64(m.tornRetries), float64(m.tornFailovers),
 			float64(m.orphansReaped), float64(m.retries), float64(m.failovers),
-			float64(m.repairs), float64(m.detectorFires), float64(m.faults), float64(m.violations),
-		}
-		for si, v := range vals {
-			series[si].Add(x, label, v)
-		}
+			float64(m.repairs), float64(m.detectorFires), float64(m.faults), float64(m.violations))
 	}
 	return fig, nil
 }
 
-// WriteKVLargeTelemetryExports is the exportable chaos-kv-large
-// scenario: the full regime (racing + loss + crashes) streamed through
-// the JSONL recorder. The torn-read rate rule must fire — the racing
-// phases guarantee detections — and a monitoring consumer (make soak,
-// stromtail) requires it alongside kv-heartbeat. The output is
-// byte-identical at any -j.
-func WriteKVLargeTelemetryExports(o Options, metricsW, traceW, jsonlW io.Writer) error {
-	_, err := runKVLarge(o, kvlFaults{racing: true, loss: true, crashes: true}, metricsW, traceW, jsonlW)
+// exportKVLarge is the kvlarge scenario: the chaos-kv-large full regime
+// (racing + loss + crashes). The torn-read rate rule must fire — the
+// racing phases guarantee detections — and a monitoring consumer (make
+// soak, stromtail) requires it alongside kv-heartbeat.
+func exportKVLarge(o Options, w Exports) error {
+	_, err := runKVLarge(o, kvlFaults{racing: true, loss: true, crashes: true}, w)
 	return err
 }

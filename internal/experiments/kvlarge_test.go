@@ -23,7 +23,7 @@ var kvlargeAllow = regexp.MustCompile(`^(out-discards|retry-storm|kv-heartbeat|t
 // every racing point must prove the detect→retry pipeline ran. The
 // crash point's orphan-reap and detection gates live in runKVLarge.
 func TestChaosKVLargeSweepRegimes(t *testing.T) {
-	clean, err := runKVLarge(Quick(), kvlFaults{}, nil, nil, nil)
+	clean, err := runKVLarge(Quick(), kvlFaults{}, Exports{})
 	if err != nil {
 		t.Fatalf("clean: %v", err)
 	}
@@ -33,21 +33,21 @@ func TestChaosKVLargeSweepRegimes(t *testing.T) {
 	if clean.spilledReads == 0 || clean.largePuts == 0 || clean.acked == 0 {
 		t.Errorf("clean point never exercised the large-value path: %+v", clean)
 	}
-	racing, err := runKVLarge(Quick(), kvlFaults{racing: true}, nil, nil, nil)
+	racing, err := runKVLarge(Quick(), kvlFaults{racing: true}, Exports{})
 	if err != nil {
 		t.Fatalf("racing: %v", err)
 	}
 	if racing.tornDetected == 0 || racing.tornRetries == 0 {
 		t.Errorf("racing point never detected+retried a torn read: %+v", racing)
 	}
-	loss, err := runKVLarge(Quick(), kvlFaults{racing: true, loss: true}, nil, nil, nil)
+	loss, err := runKVLarge(Quick(), kvlFaults{racing: true, loss: true}, Exports{})
 	if err != nil {
 		t.Fatalf("loss: %v", err)
 	}
 	if loss.tornDetected == 0 || loss.faults == 0 {
 		t.Errorf("loss point never detected a torn read under faults: %+v", loss)
 	}
-	crash, err := runKVLarge(Quick(), kvlFaults{racing: true, loss: true, crashes: true}, nil, nil, nil)
+	crash, err := runKVLarge(Quick(), kvlFaults{racing: true, loss: true, crashes: true}, Exports{})
 	if err != nil {
 		t.Fatalf("crash: %v", err)
 	}
@@ -67,8 +67,8 @@ func TestChaosKVLargeSweepRegimes(t *testing.T) {
 // failure detector, with nothing outside the allowlist.
 func TestKVLargeJSONLAlerts(t *testing.T) {
 	var w bytes.Buffer
-	if err := WriteKVLargeTelemetryExports(Quick(), nil, nil, &w); err != nil {
-		t.Fatalf("WriteKVLargeTelemetryExports: %v", err)
+	if err := exportKVLarge(Quick(), Exports{JSONL: &w}); err != nil {
+		t.Fatalf("exportKVLarge: %v", err)
 	}
 	tail, err := export.ReadAll(bytes.NewReader(w.Bytes()))
 	if err != nil {
@@ -96,22 +96,5 @@ func TestKVLargeJSONLAlerts(t *testing.T) {
 	}
 	if !seen {
 		t.Error("stream has no kvclient health object")
-	}
-}
-
-// The chaos-kv-large exports are pure functions of Options:
-// byte-identical across repeated runs.
-func TestKVLargeTelemetryByteIdentical(t *testing.T) {
-	run := func(o Options) (string, string, string) {
-		var m, tr, j bytes.Buffer
-		if err := WriteKVLargeTelemetryExports(o, &m, &tr, &j); err != nil {
-			t.Fatalf("WriteKVLargeTelemetryExports: %v", err)
-		}
-		return m.String(), tr.String(), j.String()
-	}
-	m1, tr1, j1 := run(Quick())
-	m2, tr2, j2 := run(Quick())
-	if m1 != m2 || tr1 != tr2 || j1 != j2 {
-		t.Error("repeated same-seed runs differ")
 	}
 }

@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"strom/internal/chaos"
-	"strom/internal/hostmem"
 	"strom/internal/mr"
-	"strom/internal/roce"
 	"strom/internal/sim"
 	"strom/internal/stats"
 	"strom/internal/testrig"
@@ -36,36 +33,15 @@ const (
 	protectCrashFirst  = 400 * sim.Microsecond
 	protectCadence     = 3 * sim.Millisecond
 	protectDowntime    = 1200 * sim.Microsecond
-	// Rogue QPs beside the testbed's QPA/QPB pair.
-	protectRogueQPA uint32 = 3
-	protectRogueQPB uint32 = 4
 )
 
 // protectMeasure is one protection point's outcome.
 type protectMeasure struct {
-	elapsed      sim.Duration
-	successes    uint64
-	deadlineErrs uint64
-	qpErrs       uint64
-	reconnects   uint64
-	rogue        chaos.RogueStats
-	naks         uint64 // SynNAKRemoteAccess sent by B
-	valFails     uint64 // MR-table validation failures on B, all classes
-	violations   int
-}
-
-// protectPlan is the ambient chaos: the 4% bursty-loss regime with light
-// duplication and reordering, so protection NAKs share the wire with
-// retransmissions and duplicates.
-func protectPlan() chaos.Plan {
-	faults := chaos.LinkFaults{
-		Loss:        chaos.BurstyLoss(0.04),
-		DupProb:     0.01,
-		DupDelay:    2 * sim.Microsecond,
-		ReorderProb: 0.01,
-		ReorderMax:  5 * sim.Microsecond,
-	}
-	return chaos.Plan{AtoB: faults, BtoA: faults}
+	clientStats
+	rogue      chaos.RogueStats
+	naks       uint64 // SynNAKRemoteAccess sent by B
+	valFails   uint64 // MR-table validation failures on B, all classes
+	violations int
 }
 
 // runProtectPoint drives the legitimate deadline-bounded workload and
@@ -81,14 +57,10 @@ func runProtectPoint(o Options, rogueOps int) (protectMeasure, error) {
 	if err != nil {
 		return protectMeasure{}, err
 	}
-	inj, ca, cb := pair.ApplyChaos(protectPlan())
-	_ = inj
-
-	for i := 0; i < protectCrashCycles; i++ {
-		at := sim.Time(protectCrashFirst + sim.Duration(i)*protectCadence)
-		pair.Eng.ScheduleAt(at, func() { pair.B.Crash() })
-		pair.Eng.ScheduleAt(at.Add(protectDowntime), func() { pair.B.Restart() })
-	}
+	// The ambient chaos is the 4% bursty-loss regime, so protection NAKs
+	// share the wire with retransmissions and duplicates.
+	_, ca, cb := pair.ApplyChaos(chaosLossPlan(0.04))
+	crashCyclesB(pair, protectCrashCycles, protectCrashFirst, protectCadence, protectDowntime)
 
 	// The legitimate client exchanges real rkeys up front — no wildcard
 	// key 0 anywhere on the main QP pair.
@@ -99,89 +71,18 @@ func runProtectPoint(o Options, rogueOps int) (protectMeasure, error) {
 	var m protectMeasure
 	var rogue *chaos.Rogue
 	if rogueOps > 0 {
-		if err := pair.AddQueuePair(protectRogueQPA, protectRogueQPB); err != nil {
+		if rogue, err = pairRogue(pair, roBuf, chaos.RogueConfig{Ops: rogueOps}); err != nil {
 			return protectMeasure{}, err
 		}
-		rogue, err = chaos.NewRogue(pair.A, chaos.RogueConfig{
-			QPN:     protectRogueQPA,
-			LocalVA: uint64(pair.BufA.Base()) + uint64(pair.BufA.Size()/2),
-			Target: chaos.RogueTarget{
-				Base: uint64(pair.BufB.Base()),
-				Size: uint64(pair.BufB.Size()),
-				Key: func() uint32 {
-					return pair.B.RegionFor(uint64(pair.BufB.Base())).RKey()
-				},
-				ROBase: uint64(roBuf.Base()),
-				ROSize: uint64(roBuf.Size()),
-				ROKey: func() uint32 {
-					return pair.B.RegionFor(uint64(roBuf.Base())).RKey()
-				},
-			},
-			Ops:       rogueOps,
-			Reconnect: func() error { return pair.ReconnectPair(protectRogueQPA, protectRogueQPB) },
-		}, nil)
-		if err != nil {
-			return protectMeasure{}, err
-		}
-		rogue.Start()
 	}
-
-	const xfer = 16 << 10
-	localA := uint64(pair.BufA.Base())
-	writeB := uint64(pair.BufB.Base())
-	readB := pair.BufB.Base() + hostmem.Addr(pair.BufB.Size()/2)
-	static := make([]byte, xfer)
-	pair.Eng.Rand().Read(static)
-	if err := pair.B.Memory().WriteVirt(readB, static); err != nil {
+	load, err := newRWLoad(pair, 16<<10)
+	if err != nil {
 		return protectMeasure{}, err
 	}
 
 	var runErr error
 	pair.Eng.Go("protect-client", func(p *sim.Process) {
-		bo := sim.Backoff{Base: 200 * sim.Microsecond, Max: 2 * sim.Millisecond, Factor: 2, Jitter: 0.5}
-		for i := 0; i < o.Iterations; i++ {
-			err := pair.A.WriteSyncDeadline(p, testrig.QPA, localA, writeB, xfer, p.Now().Add(protectOpDeadline))
-			if err == nil {
-				err = pair.A.ReadSyncDeadline(p, testrig.QPA, uint64(readB), localA, xfer, p.Now().Add(protectOpDeadline))
-			}
-			if err == nil {
-				m.successes++
-				continue
-			}
-			switch {
-			case errors.Is(err, sim.ErrDeadlineExceeded):
-				m.deadlineErrs++
-			case errors.Is(err, roce.ErrQPError):
-				// Includes ErrRemoteAccess: B's restart rotated every rkey,
-				// so the client's cached key is stale and the first verb
-				// after the restart is NAK'd.
-				m.qpErrs++
-			default:
-				runErr = fmt.Errorf("op %d: unexpected error class: %w", i, err)
-				return
-			}
-			for attempt := 0; ; attempt++ {
-				if attempt >= 64 {
-					runErr = fmt.Errorf("op %d: recovery gave up after %d attempts: %w", i, attempt, err)
-					return
-				}
-				p.Sleep(bo.Delay(attempt, p.Engine().Rand()))
-				if rerr := pair.Reconnect(); rerr == nil {
-					m.reconnects++
-					break
-				} else if !errors.Is(rerr, roce.ErrPeerCrashed) {
-					runErr = fmt.Errorf("op %d: reconnect: %w", i, rerr)
-					return
-				}
-			}
-			// Re-fetch the peer's current rkeys: a restart rotated them and
-			// the reconnect alone does not refresh the cached default.
-			if kerr := pair.ExchangeRKeys(testrig.QPA, testrig.QPB); kerr != nil {
-				runErr = fmt.Errorf("op %d: rkey exchange: %w", i, kerr)
-				return
-			}
-		}
-		m.elapsed = pair.Eng.Now().Sub(0)
+		runErr = recoveringClient(p, load, o.Iterations, protectOpDeadline, false, true, &m.clientStats)
 	})
 	pair.Run()
 	if runErr != nil {
@@ -218,39 +119,20 @@ func runProtectPoint(o Options, rogueOps int) (protectMeasure, error) {
 // invariant 9) is violated, or the attack produced no NAKs at all.
 func ChaosProtectSweep(o Options) (*stats.Figure, error) {
 	o = o.normalized()
-	fig := stats.NewFigure("Chaos: memory protection sweep (10G, GE loss 4%, 2 crash cycles, rogue requester)",
-		"forged requests", "see series")
-	s := []*stats.Series{
-		fig.NewSeries("completion time (us)"),
-		fig.NewSeries("successful ops"),
-		fig.NewSeries("deadline errors"),
-		fig.NewSeries("qp errors"),
-		fig.NewSeries("reconnects"),
-		fig.NewSeries("rogue rejected"),
-		fig.NewSeries("rogue expired"),
-		fig.NewSeries("rogue unexpected"),
-		fig.NewSeries("remote-access NAKs"),
-		fig.NewSeries("validation failures"),
-		fig.NewSeries("invariant violations"),
-	}
+	fig, add := sweepFigure("Chaos: memory protection sweep (10G, GE loss 4%, 2 crash cycles, rogue requester)",
+		"forged requests",
+		"completion time (us)", "successful ops", "deadline errors", "qp errors", "reconnects",
+		"rogue rejected", "rogue expired", "rogue unexpected", "remote-access NAKs",
+		"validation failures", "invariant violations")
 	for _, ops := range chaosProtectPoints {
 		m, err := runProtectPoint(o, ops)
 		if err != nil {
 			return nil, fmt.Errorf("rogue ops %d: %w", ops, err)
 		}
-		label := fmt.Sprintf("%d", ops)
-		x := float64(ops)
-		s[0].Add(x, label, m.elapsed.Microseconds())
-		s[1].Add(x, label, float64(m.successes))
-		s[2].Add(x, label, float64(m.deadlineErrs))
-		s[3].Add(x, label, float64(m.qpErrs))
-		s[4].Add(x, label, float64(m.reconnects))
-		s[5].Add(x, label, float64(m.rogue.Rejected))
-		s[6].Add(x, label, float64(m.rogue.Expired))
-		s[7].Add(x, label, float64(m.rogue.Unexpected))
-		s[8].Add(x, label, float64(m.naks))
-		s[9].Add(x, label, float64(m.valFails))
-		s[10].Add(x, label, float64(m.violations))
+		add(float64(ops), fmt.Sprintf("%d", ops), m.elapsed.Microseconds(), float64(m.successes),
+			float64(m.deadlineErrs), float64(m.qpErrs), float64(m.reconnects), float64(m.rogue.Rejected),
+			float64(m.rogue.Expired), float64(m.rogue.Unexpected), float64(m.naks), float64(m.valFails),
+			float64(m.violations))
 	}
 	return fig, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"strom/internal/chaos"
-	"strom/internal/hostmem"
 	"strom/internal/roce"
 	"strom/internal/sim"
 	"strom/internal/stats"
@@ -35,111 +34,118 @@ const (
 
 // recoveryMeasure is one recovery point's outcome.
 type recoveryMeasure struct {
+	clientStats
+	faults     uint64
+	violations int
+}
+
+// recoveryPlan is the ambient network chaos the recovery story plays out
+// under: the 4% bursty-loss regime, plus one link flap to keep the flap
+// path honest.
+func recoveryPlan() chaos.Plan {
+	plan := chaosLossPlan(0.04)
+	plan.Flaps = []chaos.Window{{At: sim.Time(2500 * sim.Microsecond), Dur: 100 * sim.Microsecond}}
+	return plan
+}
+
+// crashCyclesB schedules n crash/restart cycles on machine B: the first
+// crash at first, then one every cadence, each down for downtime.
+func crashCyclesB(pair *testrig.Pair, n int, first, cadence, downtime sim.Duration) {
+	for i := 0; i < n; i++ {
+		at := sim.Time(first + sim.Duration(i)*cadence)
+		pair.Eng.ScheduleAt(at, func() { pair.B.Crash() })
+		pair.Eng.ScheduleAt(at.Add(downtime), func() { pair.B.Restart() })
+	}
+}
+
+// clientStats counts a deadline-bounded client's outcomes.
+type clientStats struct {
 	elapsed      sim.Duration
 	successes    uint64
 	deadlineErrs uint64
 	qpErrs       uint64
 	reconnects   uint64
-	faults       uint64
-	violations   int
 }
 
-// recoveryPlan is the ambient network chaos the recovery story plays out
-// under: the 4% bursty-loss regime with light duplication and
-// reordering, plus one link flap to keep the flap path honest.
-func recoveryPlan() chaos.Plan {
-	faults := chaos.LinkFaults{
-		Loss:        chaos.BurstyLoss(0.04),
-		DupProb:     0.01,
-		DupDelay:    2 * sim.Microsecond,
-		ReorderProb: 0.01,
-		ReorderMax:  5 * sim.Microsecond,
-	}
-	return chaos.Plan{
-		AtoB:  faults,
-		BtoA:  faults,
-		Flaps: []chaos.Window{{At: sim.Time(2500 * sim.Microsecond), Dur: 100 * sim.Microsecond}},
-	}
-}
-
-// runRecoveryPoint drives the deadline-bounded workload with the given
-// number of crash/restart cycles on B.
-func runRecoveryPoint(o Options, cycles int) (recoveryMeasure, error) {
-	pair, err := newPair(o, profile10G(), 8<<20)
-	if err != nil {
-		return recoveryMeasure{}, err
-	}
-	inj, ca, cb := pair.ApplyChaos(recoveryPlan())
-
-	for i := 0; i < cycles; i++ {
-		at := sim.Time(recoveryCrashFirst + sim.Duration(i)*recoveryCadence)
-		pair.Eng.ScheduleAt(at, func() { pair.B.Crash() })
-		pair.Eng.ScheduleAt(at.Add(recoveryDowntime), func() { pair.B.Restart() })
-	}
-
-	const xfer = 16 << 10
-	localA := uint64(pair.BufA.Base())
-	writeB := uint64(pair.BufB.Base())
-	readB := pair.BufB.Base() + hostmem.Addr(pair.BufB.Size()/2)
-	static := make([]byte, xfer)
-	pair.Eng.Rand().Read(static)
-	if err := pair.B.Memory().WriteVirt(readB, static); err != nil {
-		return recoveryMeasure{}, err
-	}
-
-	var m recoveryMeasure
-	var runErr error
-	iters := o.Iterations * 2
-	pair.Eng.Go("recovery-client", func(p *sim.Process) {
-		bo := sim.Backoff{Base: 200 * sim.Microsecond, Max: 2 * sim.Millisecond, Factor: 2, Jitter: 0.5}
-		for i := 0; i < iters; i++ {
-			err := pair.A.WriteSyncDeadline(p, testrig.QPA, localA, writeB, xfer, p.Now().Add(recoveryOpDeadline))
-			if err == nil {
-				err = pair.A.ReadSyncDeadline(p, testrig.QPA, uint64(readB), localA, xfer, p.Now().Add(recoveryOpDeadline))
+// recoveringClient runs iters deadline-bounded rounds of load and
+// recovers from every failed round: it classifies the error, backs off,
+// and re-establishes the testbed QP pair, retrying while the peer is
+// down (ErrPeerCrashed). With transient set, a backoff that finds both
+// machines up and both QPs still RTS concludes the failure was a
+// loss-induced deadline miss and skips the reconnect; with rekey set,
+// every recovery re-fetches the peer's rkeys, which a restart rotates.
+func recoveringClient(p *sim.Process, load rwLoad, iters int, deadline sim.Duration, transient, rekey bool, st *clientStats) error {
+	pair := load.pair
+	bo := sim.Backoff{Base: 200 * sim.Microsecond, Max: 2 * sim.Millisecond, Factor: 2, Jitter: 0.5}
+	for i := 0; i < iters; i++ {
+		err := load.round(p, deadline)
+		if err == nil {
+			st.successes++
+			continue
+		}
+		switch {
+		case errors.Is(err, sim.ErrDeadlineExceeded):
+			st.deadlineErrs++
+		case errors.Is(err, roce.ErrQPError):
+			// Includes ErrRemoteAccess when the client holds real rkeys:
+			// a restart of B rotates every key, so the first verb after
+			// it carries a stale one and is NAK'd.
+			st.qpErrs++
+		default:
+			return fmt.Errorf("op %d: unexpected error class: %w", i, err)
+		}
+		for attempt := 0; ; attempt++ {
+			if attempt >= 64 {
+				return fmt.Errorf("op %d: recovery gave up after %d attempts: %w", i, attempt, err)
 			}
-			if err == nil {
-				m.successes++
-				continue
-			}
-			switch {
-			case errors.Is(err, sim.ErrDeadlineExceeded):
-				m.deadlineErrs++
-			case errors.Is(err, roce.ErrQPError):
-				m.qpErrs++
-			default:
-				runErr = fmt.Errorf("op %d: unexpected error class: %w", i, err)
-				return
-			}
-			// Recovery loop: back off, then either conclude the failure was
-			// transient (both QPs still RTS — a loss-induced deadline miss)
-			// or re-establish the connection. ErrPeerCrashed while B is
-			// down keeps the loop spinning until the restart.
-			for attempt := 0; ; attempt++ {
-				if attempt >= 64 {
-					runErr = fmt.Errorf("op %d: recovery gave up after %d attempts: %w", i, attempt, err)
-					return
-				}
-				p.Sleep(bo.Delay(attempt, p.Engine().Rand()))
+			p.Sleep(bo.Delay(attempt, p.Engine().Rand()))
+			if transient {
 				stA, serr := pair.A.Stack().QPStateOf(testrig.QPA)
 				if serr != nil {
-					runErr = serr
-					return
+					return serr
 				}
 				if stA == roce.QPStateRTS && !pair.A.Crashed() && !pair.B.Crashed() {
 					if stB, _ := pair.B.Stack().QPStateOf(testrig.QPB); stB == roce.QPStateRTS {
 						break
 					}
 				}
-				if rerr := pair.Reconnect(); rerr == nil {
-					m.reconnects++
-					break
-				} else if !errors.Is(rerr, roce.ErrPeerCrashed) {
-					runErr = fmt.Errorf("op %d: reconnect: %w", i, rerr)
-					return
-				}
+			}
+			if rerr := pair.Reconnect(); rerr == nil {
+				st.reconnects++
+				break
+			} else if !errors.Is(rerr, roce.ErrPeerCrashed) {
+				return fmt.Errorf("op %d: reconnect: %w", i, rerr)
 			}
 		}
-		m.elapsed = pair.Eng.Now().Sub(0)
+		if rekey {
+			if kerr := pair.ExchangeRKeys(testrig.QPA, testrig.QPB); kerr != nil {
+				return fmt.Errorf("op %d: rkey exchange: %w", i, kerr)
+			}
+		}
+	}
+	st.elapsed = pair.Eng.Now().Sub(0)
+	return nil
+}
+
+// runRecoveryPoint drives the deadline-bounded workload with the given
+// number of crash/restart cycles on B. A failed round whose QPs are
+// still up is a loss-induced deadline miss and needs no reconnect.
+func runRecoveryPoint(o Options, cycles int) (recoveryMeasure, error) {
+	pair, err := newPair(o, profile10G(), 8<<20)
+	if err != nil {
+		return recoveryMeasure{}, err
+	}
+	inj, ca, cb := pair.ApplyChaos(recoveryPlan())
+	crashCyclesB(pair, cycles, recoveryCrashFirst, recoveryCadence, recoveryDowntime)
+	load, err := newRWLoad(pair, 16<<10)
+	if err != nil {
+		return recoveryMeasure{}, err
+	}
+
+	var m recoveryMeasure
+	var runErr error
+	pair.Eng.Go("recovery-client", func(p *sim.Process) {
+		runErr = recoveringClient(p, load, 2*o.Iterations, recoveryOpDeadline, true, false, &m.clientStats)
 	})
 	pair.Run()
 	if runErr != nil {
@@ -162,30 +168,16 @@ func runRecoveryPoint(o Options, cycles int) (recoveryMeasure, error) {
 // fails instead of plotting.
 func ChaosRecoverySweep(o Options) (*stats.Figure, error) {
 	o = o.normalized()
-	fig := stats.NewFigure("Chaos: crash/restart recovery sweep (10G, GE loss 4%)", "crash cycles", "see series")
-	s := []*stats.Series{
-		fig.NewSeries("completion time (us)"),
-		fig.NewSeries("successful ops"),
-		fig.NewSeries("deadline errors"),
-		fig.NewSeries("qp errors"),
-		fig.NewSeries("reconnects"),
-		fig.NewSeries("faults injected"),
-		fig.NewSeries("invariant violations"),
-	}
+	fig, add := sweepFigure("Chaos: crash/restart recovery sweep (10G, GE loss 4%)", "crash cycles",
+		"completion time (us)", "successful ops", "deadline errors", "qp errors", "reconnects",
+		"faults injected", "invariant violations")
 	for _, cycles := range chaosRecoveryPoints {
 		m, err := runRecoveryPoint(o, cycles)
 		if err != nil {
 			return nil, fmt.Errorf("cycles %d: %w", cycles, err)
 		}
-		label := fmt.Sprintf("%d", cycles)
-		x := float64(cycles)
-		s[0].Add(x, label, m.elapsed.Microseconds())
-		s[1].Add(x, label, float64(m.successes))
-		s[2].Add(x, label, float64(m.deadlineErrs))
-		s[3].Add(x, label, float64(m.qpErrs))
-		s[4].Add(x, label, float64(m.reconnects))
-		s[5].Add(x, label, float64(m.faults))
-		s[6].Add(x, label, float64(m.violations))
+		add(float64(cycles), fmt.Sprintf("%d", cycles), m.elapsed.Microseconds(), float64(m.successes),
+			float64(m.deadlineErrs), float64(m.qpErrs), float64(m.reconnects), float64(m.faults), float64(m.violations))
 	}
 	return fig, nil
 }

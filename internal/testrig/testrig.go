@@ -179,22 +179,30 @@ func (p *Pair) Reconnect() error { return p.ReconnectPair(QPA, QPB) }
 // ReconnectPair is Reconnect for an arbitrary QP pair created with
 // AddQueuePair.
 func (p *Pair) ReconnectPair(qpa, qpb uint32) error {
-	if p.A.Crashed() {
-		return fmt.Errorf("%w: A is down", roce.ErrPeerCrashed)
+	return reconnectQPs(p.A, p.B, "A", "B", qpa, qpb)
+}
+
+// reconnectQPs resets both ends of the queue pair qpa on a ↔ qpb on b,
+// flushing anything outstanding, and reconnects them with fresh PSNs.
+// It fails with roce.ErrPeerCrashed, naming the machine, while either
+// machine is down.
+func reconnectQPs(a, b *core.NIC, nameA, nameB string, qpa, qpb uint32) error {
+	if a.Crashed() {
+		return fmt.Errorf("%w: %s is down", roce.ErrPeerCrashed, nameA)
 	}
-	if p.B.Crashed() {
-		return fmt.Errorf("%w: B is down", roce.ErrPeerCrashed)
+	if b.Crashed() {
+		return fmt.Errorf("%w: %s is down", roce.ErrPeerCrashed, nameB)
 	}
-	if err := p.B.Stack().ResetQP(qpb); err != nil {
+	if err := b.Stack().ResetQP(qpb); err != nil {
 		return err
 	}
-	if err := p.A.Stack().ResetQP(qpa); err != nil {
+	if err := a.Stack().ResetQP(qpa); err != nil {
 		return err
 	}
-	if err := p.B.Stack().ReconnectQP(qpb); err != nil {
+	if err := b.Stack().ReconnectQP(qpb); err != nil {
 		return err
 	}
-	return p.A.Stack().ReconnectQP(qpa)
+	return a.Stack().ReconnectQP(qpa)
 }
 
 // New10G is the common case: the 10 G testbed with 32 MB buffers.

@@ -115,3 +115,32 @@ func TestNetReconnectPairAcrossCrash(t *testing.T) {
 	}
 	net.Run()
 }
+
+// Pair.ReconnectPair refuses with roce.ErrPeerCrashed while either
+// machine is down and reconnects the testbed QP pair once it restarts,
+// after which the pair carries traffic again.
+func TestPairReconnectPairAcrossCrash(t *testing.T) {
+	pair, err := New(9, core.Profile10G(), fabric.DirectCable10G(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nic := range []*core.NIC{pair.A, pair.B} {
+		nic.Crash()
+		if err := pair.ReconnectPair(QPA, QPB); !errors.Is(err, roce.ErrPeerCrashed) {
+			t.Fatalf("%s down: ReconnectPair = %v, want ErrPeerCrashed", nic.Identity().IP, err)
+		}
+		nic.Restart()
+		if err := pair.ReconnectPair(QPA, QPB); err != nil {
+			t.Fatalf("%s restarted: ReconnectPair = %v", nic.Identity().IP, err)
+		}
+	}
+	// The reconnected QP pair carries traffic again.
+	var werr error
+	pair.Eng.Go("client", func(p *sim.Process) {
+		werr = pair.A.WriteSync(p, QPA, uint64(pair.BufA.Base()), uint64(pair.BufB.Base()), 4096)
+	})
+	pair.Run()
+	if werr != nil {
+		t.Fatalf("write after reconnect: %v", werr)
+	}
+}

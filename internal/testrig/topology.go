@@ -80,23 +80,7 @@ func (n *Net) Connect(i, j int) (qpi, qpj uint32, err error) {
 // under backoff until the peer restarts. Note rkeys rotate on restart:
 // re-exchange them after a successful reconnect.
 func (n *Net) ReconnectPair(i, j int, qpi, qpj uint32) error {
-	mi, mj := n.Machines[i], n.Machines[j]
-	if mi.NIC.Crashed() {
-		return fmt.Errorf("%w: m%d is down", roce.ErrPeerCrashed, i)
-	}
-	if mj.NIC.Crashed() {
-		return fmt.Errorf("%w: m%d is down", roce.ErrPeerCrashed, j)
-	}
-	if err := mj.NIC.Stack().ResetQP(qpj); err != nil {
-		return err
-	}
-	if err := mi.NIC.Stack().ResetQP(qpi); err != nil {
-		return err
-	}
-	if err := mj.NIC.Stack().ReconnectQP(qpj); err != nil {
-		return err
-	}
-	return mi.NIC.Stack().ReconnectQP(qpi)
+	return reconnectQPs(n.Machines[i].NIC, n.Machines[j].NIC, fmt.Sprintf("m%d", i), fmt.Sprintf("m%d", j), qpi, qpj)
 }
 
 // EnableDCQCN turns the DCQCN loop on for every machine's stack.
