@@ -23,10 +23,11 @@ func alertingStream(t *testing.T) []byte {
 		naks = 2
 		p.Sleep(5 * sim.Microsecond)
 	})
+	var w bytes.Buffer
+	rec.Stream(export.NewWriterSink(&w))
 	rec.Start(2 * sim.Microsecond)
 	eng.Run()
-	var w bytes.Buffer
-	if err := rec.WriteJSONL(&w); err != nil {
+	if err := rec.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	return w.Bytes()

@@ -154,6 +154,8 @@ func TestJSONLCleanRunSilent(t *testing.T) {
 	}
 	tel := pair.Instrument()
 	rec := export.NewRecorder(export.DefaultRules())
+	var w bytes.Buffer
+	rec.Stream(export.NewWriterSink(&w))
 	pair.RecordJSONL(rec, tel)
 	var runErr error
 	pair.Eng.Go("clean-client", func(p *sim.Process) {
@@ -166,8 +168,7 @@ func TestJSONLCleanRunSilent(t *testing.T) {
 	if runErr != nil {
 		t.Fatalf("workload: %v", runErr)
 	}
-	var w bytes.Buffer
-	if err := rec.WriteJSONL(&w); err != nil {
+	if err := rec.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	tail, err := export.ReadAll(bytes.NewReader(w.Bytes()))

@@ -25,8 +25,8 @@ type Exports struct {
 // to its NICs.
 func (w Exports) traced() bool { return w.Metrics != nil || w.Trace != nil }
 
-// write emits the requested exports from the run's registry, trace
-// buffer and JSONL recorder.
+// write emits the requested exports from the run's registry and trace
+// buffer, and ends the JSONL recorder's stream (attached at setup).
 func (w Exports) write(reg *telemetry.Registry, tb *telemetry.TraceBuffer, rec *export.Recorder) error {
 	if w.Metrics != nil {
 		if err := reg.WriteJSON(w.Metrics); err != nil {
@@ -39,7 +39,7 @@ func (w Exports) write(reg *telemetry.Registry, tb *telemetry.TraceBuffer, rec *
 		}
 	}
 	if w.JSONL != nil {
-		return rec.WriteJSONL(w.JSONL)
+		return rec.Finish()
 	}
 	return nil
 }
@@ -89,6 +89,7 @@ func instrumentPair(pair *testrig.Pair, w Exports) *pairRun {
 	r := &pairRun{Pair: pair, tel: pair.Instrument(), w: w}
 	if w.JSONL != nil {
 		r.rec = export.NewRecorder(export.DefaultRules())
+		r.rec.Stream(export.NewWriterSink(w.JSONL))
 		pair.RecordJSONL(r.rec, r.tel)
 	}
 	return r
@@ -139,12 +140,14 @@ func newNetRun(o Options, n int, reg *telemetry.Registry, w Exports) (*netRun, e
 	return r, nil
 }
 
-// stream registers every health surface, and the registry when the run
-// keeps one, with rec — when the run exports JSONL.
+// stream attaches the JSONL export to rec and registers every health
+// surface, and the registry when the run keeps one, with it — when the
+// run exports JSONL.
 func (r *netRun) stream(rec *export.Recorder) {
 	if r.w.JSONL == nil {
 		return
 	}
+	rec.Stream(export.NewWriterSink(r.w.JSONL))
 	r.RecordJSONL(rec)
 	if r.reg != nil {
 		rec.Registry(r.SwEng, "testbed", r.reg)

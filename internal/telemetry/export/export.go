@@ -17,11 +17,14 @@
 //     per-port/per-link surfaces of core.NIC and fabric.Link) and
 //     optionally a whole telemetry.Registry are scraped every interval
 //     of simulated time; each scrape emits health/metrics events in
-//     timestamp order.
+//     timestamp order, encoded and written to the attached Sink as they
+//     happen. A recorder with no sink keeps only its alert state.
 //
-//   - Alerts: declarative threshold / rate / no-progress rules
-//     evaluated at every scrape point, emitting alert events into the
-//     same stream plus a final per-rule summary.
+//   - Alerts: declarative threshold / rate / no-progress / quantile
+//     rules evaluated at every scrape point, emitting alert events into
+//     the same stream plus a final per-rule summary, and reporting each
+//     transition to OnAlert observers whether or not a stream is
+//     attached.
 //
 // Determinism contract: all scrape times come from the engine's clock, sources are scraped in registration order, rules are
 // evaluated in declaration order, and every encoder sorts its keys.

@@ -10,14 +10,21 @@ import (
 	"strom/internal/telemetry"
 )
 
-// Sink receives encoded JSONL lines. The file and buffered-writer sinks
-// below cover the common cases; anything else (a socket, a ring buffer)
-// plugs in by implementing Emit.
+// Sink receives the encoded JSONL lines of a streaming recorder, one
+// Emit per event, at the moment the event is emitted. WriterSink covers
+// files and buffered writers; anything else (a socket, a ring buffer)
+// plugs in by implementing Emit, and also Flush when it buffers.
 type Sink interface {
 	Emit(line []byte) error
 }
 
-// WriterSink buffers lines into an io.Writer. Close flushes.
+// flusher is the optional half of a Sink: Finish flushes a sink that
+// implements it after the last event.
+type flusher interface {
+	Flush() error
+}
+
+// WriterSink buffers lines into an io.Writer. Flush writes them out.
 type WriterSink struct {
 	bw *bufio.Writer
 }
@@ -33,24 +40,8 @@ func (s *WriterSink) Emit(line []byte) error {
 	return err
 }
 
-// Close flushes buffered lines to the underlying writer.
-func (s *WriterSink) Close() error { return s.bw.Flush() }
-
-// MemorySink retains decoded events in memory (tests, stromtail-style
-// post-processing inside the same process).
-type MemorySink struct {
-	Events []Event
-}
-
-// Emit decodes and retains one line.
-func (s *MemorySink) Emit(line []byte) error {
-	ev, err := Decode(line)
-	if err != nil {
-		return err
-	}
-	s.Events = append(s.Events, ev)
-	return nil
-}
+// Flush writes buffered lines to the underlying writer.
+func (s *WriterSink) Flush() error { return s.bw.Flush() }
 
 // source is one registered health source.
 type source struct {
@@ -68,22 +59,29 @@ type regEntry struct {
 	last map[string]uint64 // previous counter values, for deltas
 }
 
-// Recorder assembles the stream: the registered sources and registries,
-// the rule set, and the events emitted so far. Every source lives on one
-// engine, whose probe scrapes them in registration order. Zero-value
-// construction is not supported; use NewRecorder.
+// Recorder is the scrape-and-alert pipeline: the registered sources and
+// registries, the rule set, and the sink its stream goes to. Every
+// source lives on one engine, whose probe scrapes them in registration
+// order. Zero-value construction is not supported; use NewRecorder.
 //
-// Usage: register sources (and optionally a registry) during setup,
-// Start after the workload has been scheduled, run the simulation, then
-// Drain/WriteTo.
+// With a sink attached (Stream), every event is encoded and handed to
+// the sink the moment it is emitted; nothing is kept. Without one the
+// recorder runs alerts-only: each scrape feeds the rules and the OnAlert
+// observers, and no payload is built, encoded or retained.
+//
+// Usage: register sources (and optionally a registry) and attach the
+// sink during setup, Start after the workload has been scheduled, run
+// the simulation, then Finish.
 type Recorder struct {
 	eng       *sim.Engine // bound by the first Source or Registry call
 	sources   []*source
 	regs      []*regEntry // optional registry scrapes, in registration order
 	alerts    *alerter
-	seq       uint64
-	events    []Event
 	observers []func(AlertEvent)
+	sink      Sink  // nil: alerts-only
+	err       error // first sink error; the stream stops there
+	seq       uint64
+	started   bool
 	finished  bool
 }
 
@@ -161,6 +159,19 @@ func (r *Recorder) Registry(eng *sim.Engine, host string, reg *telemetry.Registr
 	r.regs = append(r.regs, &regEntry{host: host, reg: reg, last: make(map[string]uint64)})
 }
 
+// Stream attaches the sink the event stream is written to. Call during
+// setup, before Start: the stream begins with the first scrape.
+func (r *Recorder) Stream(sink Sink) {
+	if r.started {
+		panic("export: Stream after Start")
+	}
+	r.sink = sink
+}
+
+// streaming reports whether emitted events go anywhere: a sink is
+// attached and has not failed.
+func (r *Recorder) streaming() bool { return r.sink != nil && r.err == nil }
+
 // Start installs the scrape probe. The probe is a daemon event: it
 // scrapes for as long as the workload runs and can never keep a finished
 // simulation alive, even alongside other probes — so Start works whether
@@ -169,21 +180,49 @@ func (r *Recorder) Start(every sim.Duration) {
 	if r.eng == nil {
 		return
 	}
+	r.started = true
 	telemetry.DaemonProbe(r.eng, every, r.tick)
 }
 
-// emit appends one event to the stream.
+// emit encodes one event and hands it to the sink; alerts-only it does
+// nothing. The first failure ends the stream: it is kept for Finish and
+// no later event reaches the sink.
 func (r *Recorder) emit(now sim.Time, host, subsystem, typ string, data any) {
-	r.events = append(r.events, Event{
+	if !r.streaming() {
+		return
+	}
+	line, err := Encode(Event{
 		TS: int64(now), Seq: r.seq, Host: host, Subsystem: subsystem,
 		Type: typ, Data: marshalData(data),
 	})
 	r.seq++
+	if err == nil {
+		err = r.sink.Emit(line)
+	}
+	if err != nil {
+		r.err = err
+	}
+}
+
+// transition reports one fire/resolve from host: into the stream, then
+// to the observers.
+func (r *Recorder) transition(now sim.Time, host, typ string, p alertPayload) {
+	r.emit(now, host, "alert", typ, p)
+	r.notify(now, typ, p)
 }
 
 // tick is one scrape point: health sources in order, then the
-// registries.
+// registries. Once Finish has run, the stream is closed and ticks do
+// nothing.
 func (r *Recorder) tick(now sim.Time) {
+	if r.finished {
+		return
+	}
+	r.scrape(now)
+}
+
+// scrape scrapes every source, then every registry.
+func (r *Recorder) scrape(now sim.Time) {
 	for _, src := range r.sources {
 		r.scrapeSource(now, src)
 	}
@@ -192,23 +231,24 @@ func (r *Recorder) tick(now sim.Time) {
 	}
 }
 
-// scrapeSource scrapes one source, emits its health event and runs the
-// alert rules over the fresh report.
+// scrapeSource scrapes one source, emits its health event when
+// streaming and runs the alert rules over the fresh report.
 func (r *Recorder) scrapeSource(now sim.Time, src *source) {
 	counters, gauges := src.scrape()
-	delta := make(map[string]uint64, len(counters))
-	for k, v := range counters {
-		if d := v - src.last[k]; d != 0 {
-			delta[k] = d
+	if r.streaming() {
+		delta := make(map[string]uint64, len(counters))
+		for k, v := range counters {
+			if d := v - src.last[k]; d != 0 {
+				delta[k] = d
+			}
 		}
+		src.last = counters
+		r.emit(now, src.host, src.subsystem, "health", healthPayload{
+			Object: src.object, Counters: counters, Delta: delta, Gauges: gauges,
+		})
 	}
-	src.last = counters
-	r.emit(now, src.host, src.subsystem, "health", healthPayload{
-		Object: src.object, Counters: counters, Delta: delta, Gauges: gauges,
-	})
 	r.alerts.eval(now, src.object, counters, gauges, func(typ string, p alertPayload) {
-		r.emit(now, src.host, "alert", typ, p)
-		r.notify(now, typ, p)
+		r.transition(now, src.host, typ, p)
 	})
 }
 
@@ -230,8 +270,18 @@ type histDigest struct {
 
 // scrapeRegistry collects one registry and emits one "metrics" event
 // per subsystem, in sorted subsystem order, then runs the Quantile
-// rules over its histograms.
+// rules over its histograms. Alerts-only, it reads just the histograms
+// the Quantile rules watch.
 func (r *Recorder) scrapeRegistry(now sim.Time, e *regEntry) {
+	quantiles := r.alerts.hasQuantile()
+	if !r.streaming() {
+		if quantiles {
+			e.reg.EachHistogram(func(key string, h *telemetry.Histogram) {
+				r.evalQuantile(now, e.host, key, h)
+			})
+		}
+		return
+	}
 	e.reg.Collect()
 	bySub := make(map[string]*metricsPayload)
 	get := func(key string) *metricsPayload {
@@ -264,7 +314,6 @@ func (r *Recorder) scrapeRegistry(now sim.Time, e *regEntry) {
 		}
 		p.Gauges[key] = v
 	})
-	quantiles := r.alerts.hasQuantile()
 	e.reg.EachHistogram(func(key string, h *telemetry.Histogram) {
 		p := get(key)
 		if p.Histograms == nil {
@@ -274,11 +323,8 @@ func (r *Recorder) scrapeRegistry(now sim.Time, e *regEntry) {
 			Count: h.Count(), Sum: h.Sum(),
 			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
 		}
-		if quantiles && h.Count() > 0 {
-			r.alerts.evalQuantile(now, e.host, key, h.Quantile, func(typ string, p alertPayload) {
-				r.emit(now, e.host, "alert", typ, p)
-				r.notify(now, typ, p)
-			})
+		if quantiles {
+			r.evalQuantile(now, e.host, key, h)
 		}
 	})
 	subs := make([]string, 0, len(bySub))
@@ -289,6 +335,17 @@ func (r *Recorder) scrapeRegistry(now sim.Time, e *regEntry) {
 	for _, sub := range subs {
 		r.emit(now, e.host, sub, "metrics", bySub[sub])
 	}
+}
+
+// evalQuantile runs the Quantile rules over one non-empty histogram of
+// the registry scraped for host.
+func (r *Recorder) evalQuantile(now sim.Time, host, key string, h *telemetry.Histogram) {
+	if h.Count() == 0 {
+		return
+	}
+	r.alerts.evalQuantile(now, host, key, h.Quantile, func(typ string, p alertPayload) {
+		r.transition(now, host, typ, p)
+	})
 }
 
 // subsystemOf maps a metric key to its registry subsystem by name
@@ -315,25 +372,25 @@ func subsystemOf(key string) string {
 	return "misc"
 }
 
-// Finish emits the end-of-run events: one final health scrape per
-// source (so the stream always carries the run's last word, even when
-// the probe interval outlived the workload), a final registry snapshot,
-// and the alert summaries. Idempotent; Drain calls it.
-func (r *Recorder) Finish() {
+// Finish ends the run's stream: one final health scrape per source (so
+// the stream always carries the run's last word, even when the probe
+// interval outlived the workload), a final registry snapshot and the
+// alert summaries, then a flush of the sink. It returns the stream's
+// first sink error. Idempotent; after it, probe ticks do nothing.
+func (r *Recorder) Finish() error {
 	if r.finished || r.eng == nil {
-		return
+		return r.err
 	}
 	r.finished = true
 	now := r.eng.Now()
-	for _, src := range r.sources {
-		r.scrapeSource(now, src)
-	}
-	for _, e := range r.regs {
-		r.scrapeRegistry(now, e)
-	}
+	r.scrape(now)
 	for _, sum := range r.alerts.summaries(r.objects()) {
 		r.emit(now, "testbed", "alert", "summary", sum)
 	}
+	if f, ok := r.sink.(flusher); ok && r.err == nil {
+		r.err = f.Flush()
+	}
+	return r.err
 }
 
 // objects lists the alertable objects in registration order,
@@ -355,32 +412,6 @@ func (r *Recorder) objects() []string {
 		add(e.host)
 	}
 	return out
-}
-
-// Drain finishes the recorder and emits the stream into sink, in
-// emission order — which is timestamp order, since every event is
-// emitted at its engine's current time.
-func (r *Recorder) Drain(sink Sink) error {
-	r.Finish()
-	for _, ev := range r.events {
-		line, err := Encode(ev)
-		if err != nil {
-			return err
-		}
-		if err := sink.Emit(line); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteJSONL drains the stream into w as JSON Lines.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	sink := NewWriterSink(w)
-	if err := r.Drain(sink); err != nil {
-		return err
-	}
-	return sink.Close()
 }
 
 // Summaries finishes the recorder and returns every (rule, object)

@@ -8,6 +8,21 @@ import (
 	"strom/internal/sim"
 )
 
+// MemorySink retains decoded events in memory.
+type MemorySink struct {
+	Events []Event
+}
+
+// Emit decodes and retains one line.
+func (s *MemorySink) Emit(line []byte) error {
+	ev, err := Decode(line)
+	if err != nil {
+		return err
+	}
+	s.Events = append(s.Events, ev)
+	return nil
+}
+
 // fakePort is a minimal health source driven by scheduled events.
 type fakePort struct {
 	frames  uint64
@@ -36,12 +51,12 @@ func TestRecorderScrapesDeltasAndSummaries(t *testing.T) {
 		eng.Schedule(d, func() { port.frames++ })
 	}
 	eng.Schedule(5*sim.Microsecond, func() { port.naks++ })
+	sink := &MemorySink{}
+	rec.Stream(sink)
 	rec.Start(2 * sim.Microsecond)
 	eng.Run()
-
-	sink := &MemorySink{}
-	if err := rec.Drain(sink); err != nil {
-		t.Fatalf("Drain: %v", err)
+	if err := rec.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
 	}
 
 	var health, alerts, summaries int
@@ -109,11 +124,12 @@ func twoSourceStream(t *testing.T) []byte {
 			eng.Schedule(d, func() { ports[i].frames++ })
 		}
 	}
+	var buf bytes.Buffer
+	rec.Stream(NewWriterSink(&buf))
 	rec.Start(3 * sim.Microsecond)
 	eng.Run()
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
+	if err := rec.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
 	}
 	return buf.Bytes()
 }

@@ -22,11 +22,12 @@ func rollupFixture(t *testing.T) []byte {
 		eng.Schedule(d, func() { port.frames++ })
 	}
 	eng.Schedule(4*sim.Microsecond, func() { port.naks += 2 })
+	var buf bytes.Buffer
+	rec.Stream(NewWriterSink(&buf))
 	rec.Start(1 * sim.Microsecond)
 	eng.Run()
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
+	if err := rec.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
 	}
 	return buf.Bytes()
 }
